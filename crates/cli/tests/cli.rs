@@ -12,26 +12,33 @@ fn tmp(name: &str) -> std::path::PathBuf {
     dir.join(name)
 }
 
+/// Exports the Loan fixture once per test process. Tests run in
+/// parallel, and a re-export truncating the file under a concurrent
+/// reader would hand that reader a half-written CSV.
 fn export_loan() -> std::path::PathBuf {
-    let path = tmp("loan.csv");
-    let out = cce()
-        .args([
-            "export",
-            "--dataset",
-            "Loan",
-            "--out",
-            path.to_str().unwrap(),
-            "--seed",
-            "42",
-        ])
-        .output()
-        .expect("run cce export");
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    path
+    static PATH: std::sync::OnceLock<std::path::PathBuf> = std::sync::OnceLock::new();
+    PATH.get_or_init(|| {
+        let path = tmp("loan.csv");
+        let out = cce()
+            .args([
+                "export",
+                "--dataset",
+                "Loan",
+                "--out",
+                path.to_str().unwrap(),
+                "--seed",
+                "42",
+            ])
+            .output()
+            .expect("run cce export");
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        path
+    })
+    .clone()
 }
 
 #[test]
@@ -675,4 +682,73 @@ fn explain_store_rejects_a_truncated_store() {
     assert!(!out.status.success(), "truncated store must not explain");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("opening"), "stderr: {stderr}");
+}
+
+/// A CSV code outside its sidecar's cardinality is refused at load, with
+/// its line number, by `cce explain` and by `cce serve` — which must exit
+/// rather than start serving a context its index cannot address.
+#[test]
+fn out_of_domain_csv_code_is_refused_at_load() {
+    let path = export_loan();
+    let bad = tmp("loan_bad_code.csv");
+    let text = std::fs::read_to_string(&path).expect("read csv");
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let gender = lines[0]
+        .split(',')
+        .position(|c| c == "Gender")
+        .expect("Loan has a Gender column");
+    let mut row: Vec<&str> = lines[1].split(',').collect();
+    row[gender] = "9";
+    lines[1] = row.join(",");
+    std::fs::write(&bad, lines.join("\n") + "\n").expect("write bad csv");
+    std::fs::copy(
+        path.with_extension("csv.schema"),
+        bad.with_extension("csv.schema"),
+    )
+    .expect("copy sidecar");
+
+    let out = cce()
+        .args([
+            "explain",
+            "--data",
+            bad.to_str().unwrap(),
+            "--target",
+            "0",
+            "--json",
+        ])
+        .output()
+        .expect("run cce explain");
+    assert!(!out.status.success(), "explain must refuse the file");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("line 2"), "stderr: {stderr}");
+
+    let mut child = cce()
+        .args([
+            "serve",
+            "--data",
+            bad.to_str().unwrap(),
+            "--addr",
+            "127.0.0.1:0",
+        ])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn cce serve");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll cce serve") {
+            break status;
+        }
+        if std::time::Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("cce serve started on a file with an out-of-domain code");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    assert!(!status.success(), "serve must refuse the file");
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr)
+        .expect("read serve stderr");
+    assert!(stderr.contains("line 2"), "stderr: {stderr}");
 }

@@ -45,6 +45,7 @@
 //! [`Cce::explain_all_parallel`]: crate::Cce::explain_all_parallel
 //! [`Srk::explain`]: crate::Srk::explain
 //! [`Srk::explain_budgeted`]: crate::Srk::explain_budgeted
+//! [`ExplainStatus`]: crate::ExplainStatus
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};

@@ -15,26 +15,15 @@
 //! shards one huge bitset pass across cores
 //! ([`ContextIndex::explain_striped`]).
 //!
-//! On top of the bitset representation, [`ContextIndex::explain`] runs a
-//! **lazy-greedy (CELF-style) selection**: a feature's marginal gain —
-//! the number of violators it would eliminate — is monotone
-//! non-increasing as the violator set shrinks, so a score computed in an
-//! earlier round is a valid *upper bound* on the current one. Candidates
-//! wait in a max-heap keyed by their last-known `(gain, coverage)`; each
-//! round re-evaluates only until the heap's top carries a fresh score,
-//! skipping the features whose stale bounds already lose (counted in
-//! `cce_lazy_greedy_skips_total`). Because the comparison key includes
-//! the supporter-coverage tie-break (also monotone non-increasing), the
-//! selected feature is *exactly* the one the full rescan would pick —
-//! including all tie-breaks — so the output is byte-identical to
-//! [`ContextIndex::explain_eager`] and [`Srk::explain`].
-//!
-//! Round 0 never touches a bitset at all: its scores depend on the
-//! target only through `(class, feature, value)`, so the index tabulates
-//! them at build time ([`ClassIndex::seed`]). Short keys — the common
-//! case — therefore cost a table argmax plus one fused materialization
-//! pass per picked feature, and empty keys (the tolerance already
-//! covers the violators) cost nothing.
+//! [`ContextIndex`] is a [`CountSource`] for the one lazy-greedy loop
+//! in [`crate::greedy`]: a refresh is one `count_and` of the live
+//! violator (or supporter) set against a posting, and a pick is one fused
+//! `AND` + popcount. Round 0 never touches a bitset at all: its scores
+//! depend on the target only through `(class, feature, value)`, so the
+//! index tabulates them at build time (the per-class seed tables). Short
+//! keys — the common case — therefore cost a table argmax plus one fused
+//! materialization pass per picked feature, and empty keys (the tolerance
+//! already covers the violators) cost nothing.
 //!
 //! # Tail-bit invariant
 //!
@@ -43,27 +32,29 @@
 //! zeroed, `set` refuses out-of-range rows, intersections only clear
 //! bits, and the one complement operation masks its own tail; every
 //! kernel entry checks the invariant with
-//! [`RowSet::debug_assert_tail_clear`]. This is what lets the fused
+//! `RowSet::debug_assert_tail_clear`. This is what lets the fused
 //! kernels skip per-call tail masking entirely (`b ∩ ¬a` is clean
 //! because `b` is), at every `rows % 64` shape and SIMD lane width.
 //!
 //! The indexed paths are differentially tested against [`Srk::explain`]:
 //! identical keys, always.
 //!
+//! [`CountSource`]: crate::greedy::CountSource
 //! [`Srk::explain`]: crate::Srk::explain
 
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
+use std::convert::Infallible;
 
-use cce_dataset::Label;
+use cce_dataset::{Cat, Label};
 
 use crate::alpha::Alpha;
 use crate::context::Context;
 use crate::error::ExplainError;
+use crate::greedy::{self, Algo, Candidate, CountSource};
 use crate::kernels::{self, Kernels, StripeConfig, TeamHandle};
 use crate::key::RelativeKey;
-use crate::srk::{BudgetedKey, ExplainStatus, WorkBudget};
+use crate::srk::{BudgetedKey, WorkBudget};
 
 /// A dense bitset over context rows.
 ///
@@ -316,59 +307,6 @@ impl Exec<'_> {
     }
 }
 
-/// A lazy-greedy candidate: a feature with its last-evaluated score.
-///
-/// Each score component carries its own stamp — the selection round it
-/// was last computed in. A component is *fresh* when its stamp matches
-/// the current round and *stale* (score = upper bound) otherwise; both
-/// components are monotone non-increasing as picks shrink the live
-/// sets, so stale values stay valid upper bounds. Splitting the stamps
-/// lets a re-evaluation refresh `killed` with a cheap two-stream
-/// `count_and` and leave `cover` stale: the cover tie-break only
-/// matters when the heap's runner-up ties on `killed`, so most rounds
-/// never touch the supporter set at all.
-///
-/// Ordering is the greedy objective: maximize eliminated violators,
-/// then kept supporters, then prefer the lowest feature index — exactly
-/// the eager scan's `min (survivors, MAX - coverage)` with its
-/// first-wins tie-break.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Candidate {
-    /// Violators this feature eliminated when `killed` was last fresh.
-    pub(crate) killed: usize,
-    /// Supporters this feature kept when `cover` was last fresh.
-    pub(crate) cover: usize,
-    /// The feature.
-    pub(crate) feat: usize,
-    /// Round `killed` was computed in.
-    pub(crate) kstamp: usize,
-    /// Round `cover` was computed in.
-    pub(crate) cstamp: usize,
-}
-
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.killed
-            .cmp(&other.killed)
-            .then(self.cover.cmp(&other.cover))
-            .then(other.feat.cmp(&self.feat))
-    }
-}
-
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Candidate {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Candidate {}
-
 /// Reusable per-worker buffers for [`ContextIndex::explain_with`].
 ///
 /// A single explanation needs two row bitsets (live violators and
@@ -388,6 +326,84 @@ impl ExplainScratch {
     /// and are reused afterwards.
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// One explain's view of a [`ContextIndex`]: the counts are bitset
+/// passes over the scratch's live violator and supporter sets.
+struct IndexSource<'a, 't> {
+    idx: &'a ContextIndex,
+    x0: &'a cce_dataset::Instance,
+    p0: Label,
+    class: Option<&'a ClassIndex>,
+    violators: &'a mut RowSet,
+    supporters: &'a mut RowSet,
+    exec: &'a Exec<'t>,
+}
+
+impl IndexSource<'_, '_> {
+    fn posting(&self, f: usize) -> &RowSet {
+        &self.idx.by_value[f][self.x0[f] as usize]
+    }
+}
+
+impl CountSource for IndexSource<'_, '_> {
+    type Error = Infallible;
+    const ALGO: Algo = Algo::Indexed;
+
+    fn target(&self) -> &[Cat] {
+        self.x0.values()
+    }
+
+    fn cardinalities(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.idx.by_value.iter().map(Vec::len)
+    }
+
+    fn live_rows(&self) -> usize {
+        self.idx.len()
+    }
+
+    fn initial_violators(&self) -> Option<usize> {
+        self.class.map(|c| self.idx.len() - c.size)
+    }
+
+    fn seeds(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let class = self.class.expect("the driver checks the class first");
+        class
+            .seed
+            .iter()
+            .zip(self.x0.values())
+            .map(|(cells, &v)| cells[v as usize])
+    }
+
+    // Refreshes are the driver's innermost step: called out of line,
+    // they cost about 5% of an α = 1 explain (Loan, 2k rows).
+    #[inline(always)]
+    fn surv(&mut self, feature: usize) -> Result<usize, Infallible> {
+        Ok(self.exec.count_and(self.violators, self.posting(feature)))
+    }
+
+    #[inline(always)]
+    fn cover(&mut self, feature: usize) -> Result<usize, Infallible> {
+        Ok(self.exec.count_and(self.supporters, self.posting(feature)))
+    }
+
+    fn apply_pick(&mut self, feature: usize, first: bool) -> Result<usize, Infallible> {
+        let posting = &self.idx.by_value[feature][self.x0[feature] as usize];
+        if first {
+            // Materialize the live sets fused with the pick's
+            // intersection: `posting ∩ ¬class` and `posting ∩ class`.
+            let class = &self.class.expect("the driver checks the class first").rows;
+            self.supporters.copy_and_from(posting, class);
+            Ok(self.exec.copy_and_not_count(self.violators, posting, class))
+        } else {
+            self.supporters.and_assign(posting);
+            Ok(self.exec.and_assign_count(self.violators, posting))
+        }
+    }
+
+    fn twin_certificate(&self) -> Option<usize> {
+        Some(self.idx.twin_violators(self.x0, self.p0))
     }
 }
 
@@ -691,15 +707,8 @@ impl ContextIndex {
 
     /// [`ContextIndex::explain`] with caller-provided scratch buffers:
     /// the steady-state batch path, allocating nothing but the returned
-    /// key once the scratch has grown to the context's size.
-    ///
-    /// Selection is lazy-greedy (CELF): each round pops candidates off a
-    /// max-heap of last-known `(gain, coverage)` scores, re-evaluating
-    /// only until the top is fresh. Stale scores are valid upper bounds —
-    /// both the violator gain and the supporter coverage of a fixed
-    /// feature are monotone non-increasing as picks shrink the live sets —
-    /// so a fresh top beats every true score below it and the pick equals
-    /// the eager full rescan's, tie-breaks included.
+    /// key once the scratch has grown to the context's size. Selection
+    /// is the lazy greedy of [`crate::greedy`].
     ///
     /// # Errors
     /// Same failure modes as [`Srk::explain`].
@@ -712,16 +721,8 @@ impl ContextIndex {
         alpha: Alpha,
         scratch: &mut ExplainScratch,
     ) -> Result<RelativeKey, ExplainError> {
-        self.check_frozen(ctx, target)?;
-        self.explain_value_core(
-            ctx.instance(target),
-            ctx.prediction(target),
-            alpha,
-            scratch,
-            WorkBudget::unlimited(),
-            &Exec::direct(),
-        )
-        .map(|b| b.key)
+        self.explain_budgeted_with(ctx, target, alpha, WorkBudget::unlimited(), scratch)
+            .map(|b| b.key)
     }
 
     /// [`ContextIndex::explain_with`] with the kernel passes of one
@@ -761,17 +762,9 @@ impl ContextIndex {
 
     /// Budget-guarded indexed explanation: byte-identical results *and*
     /// degradation behavior to [`Srk::explain_budgeted`], at indexed
-    /// speed.
-    ///
-    /// The budget is accounted in **eager-scan units** — each greedy
-    /// round charges `unpicked features × live violators`, exactly what
-    /// the reference scan would spend — so whether a call completes or
-    /// degrades (and the reported `spent`) is independent of which
-    /// execution path served it, even though the lazy-greedy path does
-    /// far less actual work. The unsatisfiability certificate is *not*
-    /// consulted under a finite budget: the reference semantics degrade
-    /// mid-way through doomed targets when the budget runs out first,
-    /// and this path must agree.
+    /// speed. The budget is accounted in eager-scan units (see
+    /// [`crate::greedy`]), so the lazy path degrades exactly where the
+    /// reference scan would.
     ///
     /// # Errors
     /// Same failure modes as [`Srk::explain_budgeted`]; running out of
@@ -787,13 +780,13 @@ impl ContextIndex {
         scratch: &mut ExplainScratch,
     ) -> Result<BudgetedKey, ExplainError> {
         self.check_frozen(ctx, target)?;
-        self.explain_value_core(
+        self.explain_value(
             ctx.instance(target),
             ctx.prediction(target),
             alpha,
-            scratch,
             budget,
-            &Exec::direct(),
+            scratch,
+            None,
         )
     }
 
@@ -824,10 +817,17 @@ impl ContextIndex {
         })
     }
 
-    /// Value-addressed explain dispatcher: routes to the striped
-    /// execution when unbudgeted and `stripes` engages for this universe
-    /// width, the direct path otherwise — the churn owners' entry point
-    /// ([`crate::BatchEngine`], [`crate::SlidingWindow`]).
+    /// Value-addressed explain — the churn owners' entry point
+    /// ([`crate::BatchEngine`], [`crate::SlidingWindow`]) and the one
+    /// every indexed entry point funnels into. Runs the greedy driver
+    /// striped when unbudgeted and `stripes` engages for this universe
+    /// width, direct otherwise. Everything the driver consults depends
+    /// on the target only through `(x₀, p₀)`, which is also why patched
+    /// and rebuilt indexes agree byte for byte.
+    ///
+    /// `p₀`'s class must be indexed (callers explaining an out-of-context
+    /// pair insert it first); an unindexed label reports
+    /// [`ExplainError::UnknownInstance`].
     pub(crate) fn explain_value(
         &self,
         x0: &cce_dataset::Instance,
@@ -837,220 +837,34 @@ impl ContextIndex {
         scratch: &mut ExplainScratch,
         stripes: Option<&StripeConfig>,
     ) -> Result<BudgetedKey, ExplainError> {
-        if budget == WorkBudget::unlimited() {
-            if let Some(s) = stripes {
-                if s.engages(self.slots.div_ceil(64)) {
-                    cce_obs::counter!("cce_stripe_explains_total").inc();
-                    return kernels::with_team(s.threads, |team| {
-                        let exec = Exec {
-                            k: kernels::active(),
-                            team,
-                            words_per_stripe: s.words_per_stripe.max(1),
-                        };
-                        self.explain_value_core(x0, p0, alpha, scratch, budget, &exec)
-                    });
-                }
-            }
-        }
-        self.explain_value_core(x0, p0, alpha, scratch, budget, &Exec::direct())
-    }
-
-    /// The one lazy-greedy loop behind every indexed entry point;
-    /// `budget` and `exec` select the budgeted / striped variants. The
-    /// target is addressed **by value** — everything the greedy loop
-    /// consults (tolerance, seeds, postings, certificate) depends on the
-    /// target only through `(x₀, p₀)`, which is also why patched and
-    /// rebuilt indexes agree byte for byte.
-    ///
-    /// `p₀`'s class must be indexed (callers explaining an out-of-context
-    /// pair insert it first); an unindexed label reports
-    /// [`ExplainError::UnknownInstance`].
-    fn explain_value_core(
-        &self,
-        x0: &cce_dataset::Instance,
-        p0: Label,
-        alpha: Alpha,
-        scratch: &mut ExplainScratch,
-        budget: WorkBudget,
-        exec: &Exec<'_>,
-    ) -> Result<BudgetedKey, ExplainError> {
-        let live = self.slots - self.dead;
-        if live == 0 {
-            return Err(ExplainError::EmptyContext);
-        }
-        let n = self.by_value.len();
-        if x0.len() != n {
-            return Err(ExplainError::WidthMismatch {
-                expected: n,
-                got: x0.len(),
-            });
-        }
-        let tolerance = alpha.tolerance(live);
-        let budgeted = budget != WorkBudget::unlimited();
-
-        let Some(class) = self.classes.iter().find(|c| c.label == p0) else {
-            return Err(ExplainError::UnknownInstance);
-        };
-        // Violators of the empty key: every live row of a different class.
-        let mut live_violators = live - class.size;
-
-        // Unsatisfiable targets fail identically after `n` futile rounds:
-        // the violators surviving a full intersection are the target's
-        // differently-predicted exact twins, regardless of pick order.
-        // Certify the failure up front instead of scanning toward it —
-        // but only with an unlimited budget: a finite budget may run out
-        // before the reference scan reaches the error, and the budgeted
-        // contract is to degrade exactly where the reference would.
-        if !budgeted && live_violators > tolerance {
-            let contradictions = self.twin_violators(x0, p0);
-            if contradictions > tolerance {
-                cce_obs::counter!("cce_explain_errors_total", "kind" => "no_conformant_key").inc();
-                return Err(ExplainError::NoConformantKey {
-                    contradictions,
-                    tolerance,
-                });
-            }
-        }
-
-        let mut picked = Vec::new();
-        // Locally accumulated, flushed in one atomic add on success.
-        let mut evaluated: u64 = 0;
-        let mut eager_scans: u64 = 0;
-        // Budget accounting in eager-scan units (see the method docs).
-        let mut accounted: u64 = 0;
-        while live_violators > tolerance {
-            if picked.len() == n {
-                cce_obs::counter!("cce_explain_errors_total", "kind" => "no_conformant_key").inc();
-                return Err(ExplainError::NoConformantKey {
-                    contradictions: live_violators,
-                    tolerance,
-                });
-            }
-            if budgeted && accounted >= budget.max_scans {
-                cce_obs::counter!("cce_explain_degraded_total").inc();
-                cce_obs::counter!("cce_explain_violator_scans_total", "algo" => "indexed")
-                    .add(evaluated);
-                let achieved = 1.0 - live_violators as f64 / live as f64;
-                return Ok(BudgetedKey {
-                    key: RelativeKey::new(picked, alpha, achieved),
-                    status: ExplainStatus::Degraded {
-                        spent: accounted,
-                        remaining_violators: live_violators,
-                    },
-                });
-            }
-            eager_scans += (n - picked.len()) as u64;
-            accounted += ((n - picked.len()) * live_violators) as u64;
-            let round = picked.len();
-            let best_feat = if round == 0 {
-                // Round 0 from the seed table: a linear argmax over
-                // precomputed scores, zero bitset passes, and no heap —
-                // one-feature keys never touch the scratch buffers.
-                let mut best = Candidate {
-                    killed: 0,
-                    cover: 0,
-                    feat: usize::MAX,
-                    kstamp: 0,
-                    cstamp: 0,
-                };
-                for (f, seeds) in class.seed.iter().enumerate() {
-                    let (surv0, cover0) = seeds[x0[f] as usize];
-                    let cand = Candidate {
-                        killed: live_violators - surv0,
-                        cover: cover0,
-                        feat: f,
-                        kstamp: 0,
-                        cstamp: 0,
-                    };
-                    if best.feat == usize::MAX || cand > best {
-                        best = cand;
-                    }
-                }
-                best.feat
-            } else {
-                if round == 1 {
-                    // A second round is actually needed: build the heap
-                    // now. The stamp-0 seed scores are stale but remain
-                    // valid upper bounds (both components are monotone
-                    // non-increasing as picks shrink the live sets).
-                    scratch.heap.clear();
-                    for (f, seeds) in class.seed.iter().enumerate() {
-                        if f == picked[0] {
-                            continue;
-                        }
-                        let (surv0, cover0) = seeds[x0[f] as usize];
-                        scratch.heap.push(Candidate {
-                            killed: (live - class.size) - surv0,
-                            cover: cover0,
-                            feat: f,
-                            kstamp: 0,
-                            cstamp: 0,
-                        });
-                    }
-                }
-                loop {
-                    let mut top = scratch.heap.pop().expect("unpicked candidates remain");
-                    let posting = &self.by_value[top.feat][x0[top.feat] as usize];
-                    if top.kstamp < round {
-                        // Refresh the primary component only; the stale
-                        // cover stays a valid upper bound for ordering.
-                        let surv = exec.count_and(&scratch.violators, posting);
-                        evaluated += 1;
-                        top.killed = live_violators - surv;
-                        top.kstamp = round;
-                        scratch.heap.push(top);
-                        continue;
-                    }
-                    // Fresh `killed`: the top dominates every true killed
-                    // count below it. The cover tie-break can only change
-                    // the pick if the runner-up's killed *upper bound*
-                    // ties — otherwise every other true score already
-                    // loses on the first component.
-                    let tie = scratch
-                        .heap
-                        .peek()
-                        .is_some_and(|next| next.killed == top.killed);
-                    if top.cstamp == round || !tie {
-                        // A fresh (killed, cover) top beats every stale
-                        // upper bound below it, hence every true score —
-                        // including the first-wins feature tie-break (an
-                        // equal-tuple rival with a lower index would have
-                        // popped first).
-                        break top.feat;
-                    }
-                    top.cover = exec.count_and(&scratch.supporters, posting);
-                    top.cstamp = round;
-                    scratch.heap.push(top);
-                }
+        let mut run = |exec: &Exec<'_>| {
+            let mut src = IndexSource {
+                idx: self,
+                x0,
+                p0,
+                class: self.classes.iter().find(|c| c.label == p0),
+                violators: &mut scratch.violators,
+                supporters: &mut scratch.supporters,
+                exec,
             };
-            picked.push(best_feat);
-            let posting = &self.by_value[best_feat][x0[best_feat] as usize];
-            if round == 0 {
-                // First pick: materialize the live sets fused with the
-                // pick's intersection — `posting ∩ ¬class` and
-                // `posting ∩ class` in one pass each.
-                live_violators =
-                    exec.copy_and_not_count(&mut scratch.violators, posting, &class.rows);
-                scratch.supporters.copy_and_from(posting, &class.rows);
-            } else {
-                live_violators = exec.and_assign_count(&mut scratch.violators, posting);
-                scratch.supporters.and_assign(posting);
+            match greedy::explain_in(&mut src, alpha, budget, &mut scratch.heap) {
+                Ok(answer) => answer,
+                Err(never) => match never {},
+            }
+        };
+        if let Some(s) = stripes.filter(|s| s.engages(self.slots.div_ceil(64))) {
+            if budget == WorkBudget::unlimited() {
+                cce_obs::counter!("cce_stripe_explains_total").inc();
+                return kernels::with_team(s.threads, |team| {
+                    run(&Exec {
+                        k: kernels::active(),
+                        team,
+                        words_per_stripe: s.words_per_stripe.max(1),
+                    })
+                });
             }
         }
-        cce_obs::counter!("cce_explain_keys_total", "algo" => "indexed").inc();
-        cce_obs::histogram!("cce_explain_key_length", "algo" => "indexed")
-            .record(picked.len() as u64);
-        cce_obs::counter!("cce_explain_violator_scans_total", "algo" => "indexed").add(evaluated);
-        // Skips = evaluations the eager rescan would have done but the
-        // seed table (all of round 0) or the heap proved unnecessary.
-        // Later rounds re-evaluate each candidate at most once, so the
-        // subtraction cannot underflow.
-        cce_obs::counter!("cce_lazy_greedy_skips_total").add(eager_scans - evaluated);
-        let achieved = 1.0 - live_violators as f64 / live as f64;
-        Ok(BudgetedKey {
-            key: RelativeKey::new(picked, alpha, achieved),
-            status: ExplainStatus::Complete,
-        })
+        run(&Exec::direct())
     }
 
     /// The pre-CELF eager scan: every round re-evaluates every unpicked

@@ -50,6 +50,7 @@ pub mod cce;
 pub mod context;
 pub mod engine;
 pub mod error;
+pub mod greedy;
 pub mod importance;
 pub mod index;
 pub mod kernels;

@@ -1,31 +1,18 @@
-//! Out-of-core explains: the lazy-greedy loop of
-//! [`ContextIndex`](crate::ContextIndex), executed over paged columns
-//! faulted in on demand.
+//! Out-of-core explains: [`PagedContextIndex`] answers the one greedy
+//! loop of [`crate::greedy`] from paged columns faulted in on demand.
 //!
 //! # Byte-identity argument
 //!
-//! Every quantity the greedy loop consults is reproduced exactly:
-//!
-//! * **Round 0** reads the directory's seed table — the same
-//!   `(surv₀, cover₀)` values the in-RAM index precomputed (the writer
-//!   copies them verbatim).
-//! * **Later rounds** run the same heap with the same
-//!   [`Candidate`] ordering and staleness stamps; the only difference
-//!   is that `count_and` / `and_assign_count` / `and_not_count` stream
-//!   the posting column page by page, summing per-page kernel counts.
-//!   Addition over disjoint word ranges is exact, so every refreshed
-//!   score equals its in-RAM counterpart, hence every pick matches.
-//! * **The unsatisfiable case** reads the per-row twin certificate
-//!   stored in the target's row record — the same `contradictions`
-//!   count the in-RAM twins table serves — and fails up front with
-//!   zero bitset passes. Value-addressed explains (no stored row) fall
-//!   back to exhaustion: after intersecting all `n` postings, the
-//!   surviving violators are exactly the differently-labeled twins, so
-//!   the error is identical either way.
-//!
-//! `tests/pagestore_diff.rs` holds the differential proptests that pin
-//! this equivalence across row counts straddling word boundaries, page
-//! sizes, and cache budgets down to a single page.
+//! The seeds and the per-row twin certificates are the in-RAM index's
+//! own values, copied verbatim by the writer. Every other count streams
+//! a posting column page by page and sums per-page kernel counts;
+//! addition over disjoint word ranges is exact, so each count equals its
+//! in-RAM counterpart and the driver makes the same picks.
+//! Value-addressed explains carry no stored certificate and reach an
+//! unsatisfiable target's error by exhaustion instead, with the same
+//! counts. `tests/pagestore_diff.rs` pins the equivalence across row
+//! counts straddling word boundaries, page sizes, and cache budgets down
+//! to a single page.
 //!
 //! # Failure semantics
 //!
@@ -35,16 +22,17 @@
 //! error, never a silently wrong key.
 
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
-use cce_dataset::{Instance, Label};
+use cce_dataset::{Cat, Instance, Label};
 
 use crate::alpha::Alpha;
 use crate::error::ExplainError;
-use crate::index::Candidate;
+use crate::greedy::{self, Algo, Candidate, CountSource};
 use crate::kernels;
 use crate::key::RelativeKey;
 use crate::persist::{PersistError, Vfs};
-use crate::srk::{BudgetedKey, ExplainStatus, WorkBudget};
+use crate::srk::{BudgetedKey, WorkBudget};
 
 use super::cache::{CacheStats, PageData};
 use super::format::PageStore;
@@ -64,121 +52,37 @@ fn words_of(page: &PageData) -> Result<&[u64], PersistError> {
     }
 }
 
-/// `|scratch ∩ col|`, streamed page by page.
-fn col_count_and<V: Vfs>(
+/// Streams column `col` page by page through `op(words, col_page,
+/// with_page)`, summing what `op` returns. `words` is the page's range
+/// of a full-width scratch bitset; `with_page` is column `with`'s page,
+/// pinned beside `col`'s so the cache cannot evict one to admit the
+/// other, even on a single-page budget (empty when `with` is `None`).
+fn walk<V: Vfs>(
     store: &mut PageStore<V>,
-    scratch: &[u64],
     col: usize,
-) -> Result<u64, PersistError> {
-    let k = kernels::active();
-    let (pages, wpp) = (
-        store.geometry().pages_per_col,
-        store.geometry().words_per_page,
-    );
-    let mut total = 0u64;
-    for pk in 0..pages {
-        let live = store.geometry().page_words(pk);
-        let page = store.page(store.geometry().col_page(col, pk))?;
-        let words = words_of(&page)?;
-        total += (k.count_and)(&scratch[pk * wpp..pk * wpp + live], &words[..live]);
-    }
-    Ok(total)
-}
-
-/// `scratch ∩= col`, returning the new cardinality.
-fn col_and_assign_count<V: Vfs>(
-    store: &mut PageStore<V>,
-    scratch: &mut [u64],
-    col: usize,
-) -> Result<u64, PersistError> {
-    let k = kernels::active();
-    let (pages, wpp) = (
-        store.geometry().pages_per_col,
-        store.geometry().words_per_page,
-    );
-    let mut total = 0u64;
-    for pk in 0..pages {
-        let live = store.geometry().page_words(pk);
-        let page = store.page(store.geometry().col_page(col, pk))?;
-        let words = words_of(&page)?;
-        total += (k.and_assign_count)(&mut scratch[pk * wpp..pk * wpp + live], &words[..live]);
-    }
-    Ok(total)
-}
-
-/// `scratch ∩= col`, count not needed (the supporter set).
-fn col_and_assign<V: Vfs>(
-    store: &mut PageStore<V>,
-    scratch: &mut [u64],
-    col: usize,
-) -> Result<(), PersistError> {
+    with: Option<usize>,
+    mut op: impl FnMut(Range<usize>, &[u64], &[u64]) -> u64,
+) -> Result<usize, PersistError> {
     let wpp = store.geometry().words_per_page;
+    let mut total = 0u64;
     for pk in 0..store.geometry().pages_per_col {
         let live = store.geometry().page_words(pk);
         let page = store.page(store.geometry().col_page(col, pk))?;
-        let words = words_of(&page)?;
-        for (dst, src) in scratch[pk * wpp..pk * wpp + live]
-            .iter_mut()
-            .zip(&words[..live])
-        {
-            *dst &= src;
-        }
-    }
-    Ok(())
-}
-
-/// `scratch = b ∩ ¬a`, returning the cardinality — the fused
-/// first-pick violator materialization (`posting ∩ ¬class`).
-fn col_copy_and_not_count<V: Vfs>(
-    store: &mut PageStore<V>,
-    scratch: &mut [u64],
-    b_col: usize,
-    a_col: usize,
-) -> Result<u64, PersistError> {
-    let k = kernels::active();
-    let (pages, wpp) = (
-        store.geometry().pages_per_col,
-        store.geometry().words_per_page,
-    );
-    let mut total = 0u64;
-    for pk in 0..pages {
-        let live = store.geometry().page_words(pk);
-        // Both pages pinned at once: the cache must not evict `b` to
-        // admit `a`, even on a single-page budget (pin-aware eviction).
-        let b = store.page(store.geometry().col_page(b_col, pk))?;
-        let a = store.page(store.geometry().col_page(a_col, pk))?;
-        let (b, a) = (words_of(&b)?, words_of(&a)?);
-        total += (k.and_not_count)(
-            &mut scratch[pk * wpp..pk * wpp + live],
-            &b[..live],
-            &a[..live],
+        let with_page = match with {
+            Some(c) => Some(store.page(store.geometry().col_page(c, pk))?),
+            None => None,
+        };
+        let with_words = match &with_page {
+            Some(p) => &words_of(p)?[..live],
+            None => &[],
+        };
+        total += op(
+            pk * wpp..pk * wpp + live,
+            &words_of(&page)?[..live],
+            with_words,
         );
     }
-    Ok(total)
-}
-
-/// `scratch = a ∩ b` (the supporter set's first-pick materialization).
-fn col_copy_and<V: Vfs>(
-    store: &mut PageStore<V>,
-    scratch: &mut [u64],
-    a_col: usize,
-    b_col: usize,
-) -> Result<(), PersistError> {
-    let wpp = store.geometry().words_per_page;
-    for pk in 0..store.geometry().pages_per_col {
-        let live = store.geometry().page_words(pk);
-        let pa = store.page(store.geometry().col_page(a_col, pk))?;
-        let pb = store.page(store.geometry().col_page(b_col, pk))?;
-        let (a, b) = (words_of(&pa)?, words_of(&pb)?);
-        for ((dst, x), y) in scratch[pk * wpp..pk * wpp + live]
-            .iter_mut()
-            .zip(&a[..live])
-            .zip(&b[..live])
-        {
-            *dst = x & y;
-        }
-    }
-    Ok(())
+    Ok(total as usize)
 }
 
 /// An out-of-core [`ContextIndex`](crate::ContextIndex): answers the
@@ -187,11 +91,105 @@ fn col_copy_and<V: Vfs>(
 #[derive(Debug)]
 pub struct PagedContextIndex<V: Vfs> {
     store: PageStore<V>,
-    /// Violator-set scratch — the only full-width bitsets the paged
-    /// path keeps resident (2 × ⌈rows/64⌉ words).
+    /// Live violator and supporter sets — the only full-width bitsets
+    /// the paged path keeps resident (2 × ⌈rows/64⌉ words).
     violators: Vec<u64>,
     supporters: Vec<u64>,
     heap: BinaryHeap<Candidate>,
+}
+
+/// One explain's view of a [`PageStore`]: counts stream posting columns
+/// against the resident live sets.
+struct PagedSource<'a, V: Vfs> {
+    store: &'a mut PageStore<V>,
+    violators: &'a mut [u64],
+    supporters: &'a mut [u64],
+    x0: &'a [Cat],
+    /// The target's class in the directory.
+    class: Option<usize>,
+    twin_certificate: Option<usize>,
+}
+
+impl<V: Vfs> PagedSource<'_, V> {
+    fn posting_col(&self, f: usize) -> usize {
+        self.store.geometry().value_col(f, self.x0[f] as usize)
+    }
+}
+
+impl<V: Vfs> CountSource for PagedSource<'_, V> {
+    type Error = PersistError;
+    const ALGO: Algo = Algo::Paged;
+
+    fn target(&self) -> &[Cat] {
+        self.x0
+    }
+
+    fn cardinalities(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.store.geometry().cards.iter().copied()
+    }
+
+    fn live_rows(&self) -> usize {
+        self.store.rows()
+    }
+
+    fn initial_violators(&self) -> Option<usize> {
+        let dir = self.store.directory();
+        self.class
+            .map(|ci| self.store.rows() - dir.classes[ci].size)
+    }
+
+    fn seeds(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let ci = self.class.expect("the driver checks the class first");
+        let seed = &self.store.directory().classes[ci].seed;
+        seed.iter()
+            .zip(self.x0)
+            .map(|(cells, &v)| cells[v as usize])
+    }
+
+    fn surv(&mut self, feature: usize) -> Result<usize, PersistError> {
+        let k = kernels::active();
+        let violators = &*self.violators;
+        walk(self.store, self.posting_col(feature), None, |r, col, _| {
+            (k.count_and)(&violators[r], col)
+        })
+    }
+
+    fn cover(&mut self, feature: usize) -> Result<usize, PersistError> {
+        let k = kernels::active();
+        let supporters = &*self.supporters;
+        walk(self.store, self.posting_col(feature), None, |r, col, _| {
+            (k.count_and)(&supporters[r], col)
+        })
+    }
+
+    fn apply_pick(&mut self, feature: usize, first: bool) -> Result<usize, PersistError> {
+        let k = kernels::active();
+        let col = self.posting_col(feature);
+        let (violators, supporters) = (&mut *self.violators, &mut *self.supporters);
+        if first {
+            // Materialize the live sets fused with the pick's
+            // intersection: `posting ∩ ¬class` and `posting ∩ class`.
+            let ci = self.class.expect("the driver checks the class first");
+            let class_col = self.store.geometry().class_col(ci);
+            walk(self.store, col, Some(class_col), |r, col, class| {
+                for ((s, p), c) in supporters[r.clone()].iter_mut().zip(col).zip(class) {
+                    *s = p & c;
+                }
+                (k.and_not_count)(&mut violators[r], col, class)
+            })
+        } else {
+            walk(self.store, col, None, |r, col, _| {
+                for (s, p) in supporters[r.clone()].iter_mut().zip(col) {
+                    *s &= p;
+                }
+                (k.and_assign_count)(&mut violators[r], col)
+            })
+        }
+    }
+
+    fn twin_certificate(&self) -> Option<usize> {
+        self.twin_certificate
+    }
 }
 
 impl<V: Vfs> PagedContextIndex<V> {
@@ -277,15 +275,13 @@ impl<V: Vfs> PagedContextIndex<V> {
         self.explain_value_core(&x0, p0, alpha, budget, Some(twins as usize))
     }
 
-    /// Value-addressed explain: the paged lazy-greedy loop. Addressing
-    /// is by `(x₀, p₀)` exactly as in the in-RAM core, so row-addressed
-    /// and value-addressed paged explains agree with their in-RAM
-    /// counterparts byte for byte.
+    /// Value-addressed explain. Addressing is by `(x₀, p₀)` exactly as
+    /// in the in-RAM index, so row-addressed and value-addressed paged
+    /// explains agree with their in-RAM counterparts byte for byte.
     ///
     /// # Errors
-    /// Same failure modes as the in-RAM value core, plus
-    /// [`ExplainError::ValueOutOfRange`] for codes outside the schema
-    /// and [`ExplainError::Storage`] for fault failures.
+    /// Same failure modes as the in-RAM value-addressed explain, plus
+    /// [`ExplainError::Storage`] for fault failures.
     pub fn explain_value(
         &mut self,
         x0: &Instance,
@@ -293,13 +289,12 @@ impl<V: Vfs> PagedContextIndex<V> {
         alpha: Alpha,
         budget: WorkBudget,
     ) -> Result<BudgetedKey, ExplainError> {
-        // An arbitrary (x₀, p₀) has no stored certificate; the loop
-        // discovers unsatisfiability by exhaustion instead (see below).
         self.explain_value_core(x0, p0, alpha, budget, None)
     }
 
-    /// The paged greedy loop; `twin_certificate` is row `target`'s
-    /// stored contradiction count when the caller is row-addressed.
+    /// The greedy driver over the store; `twin_certificate` is row
+    /// `target`'s stored contradiction count when the caller is
+    /// row-addressed.
     fn explain_value_core(
         &mut self,
         x0: &Instance,
@@ -308,182 +303,21 @@ impl<V: Vfs> PagedContextIndex<V> {
         budget: WorkBudget,
         twin_certificate: Option<usize>,
     ) -> Result<BudgetedKey, ExplainError> {
-        let live = self.store.rows();
-        if live == 0 {
-            return Err(ExplainError::EmptyContext);
-        }
-        let geom = self.store.geometry();
-        let n = geom.cards.len();
-        if x0.len() != n {
-            return Err(ExplainError::WidthMismatch {
-                expected: n,
-                got: x0.len(),
-            });
-        }
-        for (f, &card) in geom.cards.iter().enumerate() {
-            if x0[f] as usize >= card {
-                return Err(ExplainError::ValueOutOfRange {
-                    feature: f,
-                    value: x0[f],
-                    cardinality: card,
-                });
-            }
-        }
-        let tolerance = alpha.tolerance(live);
-        let budgeted = budget != WorkBudget::unlimited();
-
-        let dir = self.store.directory();
-        let Some(ci) = dir.classes.iter().position(|c| c.label == p0) else {
-            return Err(ExplainError::UnknownInstance);
+        let class = self
+            .store
+            .directory()
+            .classes
+            .iter()
+            .position(|c| c.label == p0);
+        let mut src = PagedSource {
+            store: &mut self.store,
+            violators: &mut self.violators,
+            supporters: &mut self.supporters,
+            x0: x0.values(),
+            class,
+            twin_certificate,
         };
-        let class_size = dir.classes[ci].size;
-        let class_col = geom.class_col(ci);
-        // Posting column per feature, fixed by the target's values, and
-        // the target's slice of the seed table — owned copies, so no
-        // directory borrow outlives the faulting loop below.
-        let posting_col: Vec<usize> = (0..n).map(|f| geom.value_col(f, x0[f] as usize)).collect();
-        let seeds0: Vec<(usize, usize)> = (0..n)
-            .map(|f| dir.classes[ci].seed[f][x0[f] as usize])
-            .collect();
-        let mut live_violators = live - class_size;
-
-        // Row-addressed explains carry the stored twin certificate:
-        // fail doomed targets up front exactly like the in-RAM path
-        // (same error, same counts), with zero bitset passes. Only with
-        // an unlimited budget — a finite budget must degrade where the
-        // reference scan would, which may be before the error.
-        if budget == WorkBudget::unlimited() && live_violators > tolerance {
-            if let Some(contradictions) = twin_certificate {
-                if contradictions > tolerance {
-                    cce_obs::counter!("cce_explain_errors_total", "kind" => "no_conformant_key")
-                        .inc();
-                    return Err(ExplainError::NoConformantKey {
-                        contradictions,
-                        tolerance,
-                    });
-                }
-            }
-        }
-
-        // Value-addressed explains have no stored certificate: the loop
-        // discovers the same `contradictions` count when it exhausts
-        // all `n` features — the violators surviving the full
-        // intersection *are* the differently-labeled exact twins.
-        let mut picked = Vec::new();
-        let mut evaluated: u64 = 0;
-        let mut eager_scans: u64 = 0;
-        let mut accounted: u64 = 0;
-        while live_violators > tolerance {
-            if picked.len() == n {
-                cce_obs::counter!("cce_explain_errors_total", "kind" => "no_conformant_key").inc();
-                return Err(ExplainError::NoConformantKey {
-                    contradictions: live_violators,
-                    tolerance,
-                });
-            }
-            if budgeted && accounted >= budget.max_scans {
-                cce_obs::counter!("cce_explain_degraded_total").inc();
-                cce_obs::counter!("cce_explain_violator_scans_total", "algo" => "paged")
-                    .add(evaluated);
-                let achieved = 1.0 - live_violators as f64 / live as f64;
-                return Ok(BudgetedKey {
-                    key: RelativeKey::new(picked, alpha, achieved),
-                    status: ExplainStatus::Degraded {
-                        spent: accounted,
-                        remaining_violators: live_violators,
-                    },
-                });
-            }
-            eager_scans += (n - picked.len()) as u64;
-            accounted += ((n - picked.len()) * live_violators) as u64;
-            let round = picked.len();
-            let best_feat = if round == 0 {
-                // Round 0 from the directory's seed table: zero faults.
-                let mut best = Candidate {
-                    killed: 0,
-                    cover: 0,
-                    feat: usize::MAX,
-                    kstamp: 0,
-                    cstamp: 0,
-                };
-                for (f, &(surv0, cover0)) in seeds0.iter().enumerate() {
-                    let cand = Candidate {
-                        killed: live_violators - surv0,
-                        cover: cover0,
-                        feat: f,
-                        kstamp: 0,
-                        cstamp: 0,
-                    };
-                    if best.feat == usize::MAX || cand > best {
-                        best = cand;
-                    }
-                }
-                best.feat
-            } else {
-                if round == 1 {
-                    self.heap.clear();
-                    for (f, &(surv0, cover0)) in seeds0.iter().enumerate() {
-                        if f == picked[0] {
-                            continue;
-                        }
-                        self.heap.push(Candidate {
-                            killed: (live - class_size) - surv0,
-                            cover: cover0,
-                            feat: f,
-                            kstamp: 0,
-                            cstamp: 0,
-                        });
-                    }
-                }
-                loop {
-                    let mut top = self.heap.pop().expect("unpicked candidates remain");
-                    if top.kstamp < round {
-                        let surv =
-                            col_count_and(&mut self.store, &self.violators, posting_col[top.feat])
-                                .map_err(storage_err)? as usize;
-                        evaluated += 1;
-                        top.killed = live_violators - surv;
-                        top.kstamp = round;
-                        self.heap.push(top);
-                        continue;
-                    }
-                    let tie = self
-                        .heap
-                        .peek()
-                        .is_some_and(|next| next.killed == top.killed);
-                    if top.cstamp == round || !tie {
-                        break top.feat;
-                    }
-                    top.cover =
-                        col_count_and(&mut self.store, &self.supporters, posting_col[top.feat])
-                            .map_err(storage_err)? as usize;
-                    top.cstamp = round;
-                    self.heap.push(top);
-                }
-            };
-            picked.push(best_feat);
-            let pcol = posting_col[best_feat];
-            if round == 0 {
-                live_violators =
-                    col_copy_and_not_count(&mut self.store, &mut self.violators, pcol, class_col)
-                        .map_err(storage_err)? as usize;
-                col_copy_and(&mut self.store, &mut self.supporters, pcol, class_col)
-                    .map_err(storage_err)?;
-            } else {
-                live_violators = col_and_assign_count(&mut self.store, &mut self.violators, pcol)
-                    .map_err(storage_err)? as usize;
-                col_and_assign(&mut self.store, &mut self.supporters, pcol).map_err(storage_err)?;
-            }
-        }
-        cce_obs::counter!("cce_explain_keys_total", "algo" => "paged").inc();
-        cce_obs::histogram!("cce_explain_key_length", "algo" => "paged")
-            .record(picked.len() as u64);
-        cce_obs::counter!("cce_explain_violator_scans_total", "algo" => "paged").add(evaluated);
-        cce_obs::counter!("cce_lazy_greedy_skips_total").add(eager_scans - evaluated);
-        let achieved = 1.0 - live_violators as f64 / live as f64;
-        Ok(BudgetedKey {
-            key: RelativeKey::new(picked, alpha, achieved),
-            status: ExplainStatus::Complete,
-        })
+        greedy::explain_in(&mut src, alpha, budget, &mut self.heap)
+            .unwrap_or_else(|e| Err(storage_err(e)))
     }
 }

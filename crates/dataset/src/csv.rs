@@ -48,6 +48,17 @@ pub enum CsvError {
     },
     /// Header does not match the supplied schema.
     SchemaMismatch,
+    /// A value code lies outside its feature's domain.
+    ValueOutOfRange {
+        /// 1-based line number of the offending row.
+        line: usize,
+        /// The feature's name.
+        feature: String,
+        /// The rejected code.
+        value: Cat,
+        /// The feature's cardinality (valid codes are `0..cardinality`).
+        cardinality: usize,
+    },
 }
 
 impl std::fmt::Display for CsvError {
@@ -59,6 +70,16 @@ impl std::fmt::Display for CsvError {
                 write!(f, "unparsable value {field:?} at line {line}")
             }
             CsvError::SchemaMismatch => write!(f, "CSV header does not match schema"),
+            CsvError::ValueOutOfRange {
+                line,
+                feature,
+                value,
+                cardinality,
+            } => write!(
+                f,
+                "value code {value} of feature {feature:?} at line {line} is outside \
+                 its cardinality {cardinality}"
+            ),
         }
     }
 }
@@ -66,7 +87,7 @@ impl std::fmt::Display for CsvError {
 impl std::error::Error for CsvError {}
 
 /// Parses a dataset previously written by [`to_csv`], validating the header
-/// against `schema`.
+/// and every value code against `schema`.
 pub fn from_csv(text: &str, name: &str, schema: Schema) -> Result<Dataset, CsvError> {
     let mut lines = text.lines().enumerate();
     let (_, header) = lines.next().ok_or(CsvError::MissingHeader)?;
@@ -90,11 +111,21 @@ pub fn from_csv(text: &str, name: &str, schema: Schema) -> Result<Dataset, CsvEr
             return Err(CsvError::RowWidth { line: idx + 1 });
         }
         let mut vals: Vec<Cat> = Vec::with_capacity(fields.len() - 1);
-        for f in &fields[..fields.len() - 1] {
-            vals.push(f.parse().map_err(|_| CsvError::BadValue {
+        for (i, f) in fields[..fields.len() - 1].iter().enumerate() {
+            let v: Cat = f.parse().map_err(|_| CsvError::BadValue {
                 line: idx + 1,
                 field: (*f).to_string(),
-            })?);
+            })?;
+            let def = schema.feature(i);
+            if v as usize >= def.cardinality() {
+                return Err(CsvError::ValueOutOfRange {
+                    line: idx + 1,
+                    feature: def.name.clone(),
+                    value: v,
+                    cardinality: def.cardinality(),
+                });
+            }
+            vals.push(v);
         }
         let y: u32 = fields[fields.len() - 1]
             .parse()
@@ -221,6 +252,23 @@ mod tests {
             Err(CsvError::BadValue { line, .. }) => assert_eq!(line, 4),
             other => panic!("expected BadValue, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn out_of_domain_code_reported_with_line() {
+        let ds = toy();
+        let mut text = to_csv(&ds);
+        // Feature `b` has cardinality 2, so code 2 is outside it.
+        text.push_str("0,2,0\n");
+        assert_eq!(
+            from_csv(&text, "toy", ds.schema().clone()).unwrap_err(),
+            CsvError::ValueOutOfRange {
+                line: 4,
+                feature: "b".to_string(),
+                value: 2,
+                cardinality: 2,
+            }
+        );
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! The context's rows are hash-partitioned across `N` worker processes
 //! (`cce shard-worker`), each holding one disjoint row partition. The
-//! router in the daemon owns the SRK greedy loop itself: every round it
+//! router in the daemon runs the shared SRK driver
+//! ([`cce_core::greedy`]) over counts it gathers: every round it
 //! scatters one stateless *counts* request (target instance, prediction,
 //! key-so-far) to all shards and sums the per-candidate surviving-violator
 //! and supporter-coverage counts — both are additive over disjoint row

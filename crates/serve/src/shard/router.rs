@@ -1,22 +1,14 @@
-//! The scatter/gather router: a distributed `Srk::explain_budgeted`.
+//! The scatter/gather router: the shared SRK driver
+//! ([`cce_core::greedy`]) over counts gathered from the shards.
 //!
-//! The router owns the greedy loop. Every round it scatters one stateless
-//! [`Req::Counts`] — target instance, its prediction, key-so-far — to all
-//! live shards and sums three quantities that are each additive over
-//! disjoint row partitions:
-//!
-//! * the live **violator** count (rows matching the target on every
-//!   picked feature with a different prediction),
-//! * per candidate feature, the **surviving** violators after also
-//!   fixing that feature,
-//! * per candidate feature, the **supporter coverage** used by the
-//!   tie-break.
-//!
-//! With the sums in hand it applies the exact pick rule of
-//! `cce_core::Srk::explain_budgeted` — minimize survivors, break ties
-//! toward coverage then lowest index — and replicates its scan
-//! accounting, so with no faults the result (key, status, achieved
-//! conformity, even the error cases) is byte-identical to the
+//! Each [`Req::Counts`] round — target instance, its prediction,
+//! key-so-far — asks every live shard for its live row and violator
+//! counts and, per feature, its surviving violators and covered
+//! supporters. Each count is additive over disjoint row partitions, so
+//! the summed counts are exactly the single-process ones: gather #0
+//! seeds the driver and each pick costs one more gather, whose sums
+//! answer the next round. With no faults the result (key, status,
+//! achieved conformity, the error cases) is byte-identical to the
 //! single-process engine.
 //!
 //! Faults: when a shard call ultimately fails (after retries, hedge, and
@@ -33,7 +25,9 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use cce_core::{Alpha, BudgetedKey, ExplainError, ExplainStatus, RelativeKey, WorkBudget};
+use cce_core::greedy::{self, Algo, CountSource};
+use cce_core::{Alpha, BudgetedKey, ExplainError, WorkBudget};
+use cce_dataset::Cat;
 
 use super::client::ShardClient;
 use super::shard_of;
@@ -114,11 +108,73 @@ pub enum ShardedAnswer {
 }
 
 /// One round's gathered sums.
+#[derive(Clone)]
 struct Gathered {
     rows: u64,
     violators: u64,
     surv: Vec<u64>,
     cover: Vec<u64>,
+}
+
+/// One explain attempt over a fixed set of live shards. Its error is
+/// the index of the shard whose call failed.
+struct ShardSource<'a> {
+    backend: &'a ShardedBackend,
+    live: &'a [usize],
+    x0: &'a [u32],
+    p0: u32,
+    picked: Vec<u32>,
+    /// Gather #0: the seeds and the live row count.
+    seeds: Gathered,
+    /// The sums after the latest pick.
+    now: Gathered,
+}
+
+impl CountSource for ShardSource<'_> {
+    type Error = usize;
+    const ALGO: Algo = Algo::Sharded;
+
+    fn target(&self) -> &[Cat] {
+        self.x0
+    }
+
+    /// The router holds no schema: workers load schema-checked rows and
+    /// every ingest is checked against the schema before it is routed,
+    /// so a fetched target's codes are in range.
+    fn cardinalities(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        (0..self.backend.n_features).map(|_| usize::MAX)
+    }
+
+    fn live_rows(&self) -> usize {
+        self.seeds.rows as usize
+    }
+
+    fn initial_violators(&self) -> Option<usize> {
+        Some(self.seeds.violators as usize)
+    }
+
+    fn seeds(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let Gathered { surv, cover, .. } = &self.seeds;
+        surv.iter()
+            .zip(cover)
+            .map(|(&s, &c)| (s as usize, c as usize))
+    }
+
+    fn surv(&mut self, feature: usize) -> Result<usize, usize> {
+        Ok(self.now.surv[feature] as usize)
+    }
+
+    fn cover(&mut self, feature: usize) -> Result<usize, usize> {
+        Ok(self.now.cover[feature] as usize)
+    }
+
+    fn apply_pick(&mut self, feature: usize, _first: bool) -> Result<usize, usize> {
+        self.picked.push(feature as u32);
+        self.now = self
+            .backend
+            .gather(self.live, self.x0, self.p0, &self.picked)?;
+        Ok(self.now.violators as usize)
+    }
 }
 
 /// The sharded serving backend: shard clients, the ingest log, the row
@@ -368,10 +424,9 @@ impl ShardedBackend {
             }
         };
 
-        let n = self.n_features;
         // Restart loop: each iteration runs the whole greedy over one
         // fixed live set; a shard failure shrinks the set and retries.
-        'restart: loop {
+        loop {
             let live: Vec<usize> = (0..n_shards).filter(|i| !excluded.contains(i)).collect();
             if !live.contains(&owner) {
                 excluded.sort_unstable();
@@ -379,98 +434,27 @@ impl ShardedBackend {
                     missing_shards: excluded,
                 };
             }
-
-            let mut picked: Vec<u32> = Vec::new();
-            let mut in_key = vec![false; n];
-            let mut scanned: u64 = 0;
-
-            let mut g = match self.gather(&live, &x0, p0, &picked) {
-                Ok(g) => g,
-                Err(failed) => {
-                    excluded.push(failed);
-                    continue 'restart;
-                }
-            };
-            // The live context size is fixed for this attempt: tolerance
-            // and achieved conformity both derive from it, exactly as
-            // `ctx.len()` does in the single-process loop.
-            let len_live = g.rows as usize;
-            let tolerance = self.alpha.tolerance(len_live);
-
-            loop {
-                let violators = g.violators as usize;
-                if violators <= tolerance {
-                    excluded.sort_unstable();
-                    let achieved = 1.0 - violators as f64 / len_live as f64;
-                    return ShardedAnswer::Done {
-                        result: Ok(BudgetedKey {
-                            key: RelativeKey::new(
-                                picked.iter().map(|&f| f as usize).collect(),
-                                self.alpha,
-                                achieved,
-                            ),
-                            status: ExplainStatus::Complete,
-                        }),
-                        missing_shards: excluded,
-                    };
-                }
-                if picked.len() == n {
-                    excluded.sort_unstable();
-                    return ShardedAnswer::Done {
-                        result: Err(ExplainError::NoConformantKey {
-                            contradictions: violators,
-                            tolerance,
-                        }),
-                        missing_shards: excluded,
-                    };
-                }
-                if scanned >= budget.max_scans {
-                    excluded.sort_unstable();
-                    let achieved = 1.0 - violators as f64 / len_live as f64;
-                    return ShardedAnswer::Done {
-                        result: Ok(BudgetedKey {
-                            key: RelativeKey::new(
-                                picked.iter().map(|&f| f as usize).collect(),
-                                self.alpha,
-                                achieved,
-                            ),
-                            status: ExplainStatus::Degraded {
-                                spent: scanned,
-                                remaining_violators: violators,
-                            },
-                        }),
-                        missing_shards: excluded,
-                    };
-                }
-                // The exact pick rule: minimize surviving violators, break
-                // ties toward supporter coverage, then lowest index.
-                let mut best_feat = usize::MAX;
-                let mut best = (usize::MAX, usize::MAX);
-                for (f, &already) in in_key.iter().enumerate() {
-                    if already {
-                        continue;
-                    }
-                    scanned += violators as u64;
-                    let surv = g.surv[f] as usize;
-                    if surv > best.0 {
-                        continue;
-                    }
-                    let cover = g.cover[f] as usize;
-                    let cand = (surv, usize::MAX - cover);
-                    if cand < best {
-                        best = cand;
-                        best_feat = f;
-                    }
-                }
-                in_key[best_feat] = true;
-                picked.push(best_feat as u32);
-                g = match self.gather(&live, &x0, p0, &picked) {
-                    Ok(g) => g,
-                    Err(failed) => {
-                        excluded.push(failed);
-                        continue 'restart;
-                    }
+            let answer = self.gather(&live, &x0, p0, &[]).and_then(|seeds| {
+                let mut src = ShardSource {
+                    backend: self,
+                    live: &live,
+                    x0: &x0,
+                    p0,
+                    picked: Vec::new(),
+                    now: seeds.clone(),
+                    seeds,
                 };
+                greedy::explain(&mut src, self.alpha, budget)
+            });
+            match answer {
+                Ok(result) => {
+                    excluded.sort_unstable();
+                    return ShardedAnswer::Done {
+                        result,
+                        missing_shards: excluded,
+                    };
+                }
+                Err(failed) => excluded.push(failed),
             }
         }
     }
