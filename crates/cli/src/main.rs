@@ -62,7 +62,7 @@ const USAGE: &str = "usage:
                  [--window ROWS [--window-delta D]]  slide the live ingest context by ΔI=D
                  [--shards N [--shard-deadline-ms MS] [--shard-retries R]
                   [--shard-backoff-ms MS] [--shard-hedge-ms MS] [--chaos]]
-                 --store serves explains out-of-core from a converted store (no CSV load)
+                 --store serves explains out-of-core from a converted store, read-only
                  --shards partitions rows across N supervised worker processes
   cce shard-worker --data <file.csv> --shard-index I --shards N [--addr HOST:PORT]
                  (spawned by `cce serve --shards`; rarely run by hand)
@@ -512,83 +512,50 @@ fn shard_worker(args: &Args) -> Result<(), String> {
     cce_serve::shard::worker::run(&cfg).map_err(|e| e.to_string())
 }
 
+/// The flags only some `cce serve` modes read. The mode is `shards` when
+/// `--shards` is given, else `store` when `--store` is, else `data`; a
+/// flag listed for other modes only is refused rather than ignored.
+const SERVE_MODE_FLAGS: [(&str, &str); 3] = [
+    (
+        "data",
+        "data linger-ms max-batch threads stripe-threads stripe-words window window-delta",
+    ),
+    ("store", "store cache-mb"),
+    (
+        "shards",
+        "data shards shard-deadline-ms shard-retries shard-backoff-ms shard-hedge-ms chaos",
+    ),
+];
+
 fn serve(args: &Args) -> Result<(), String> {
-    use cce_serve::{AdmissionConfig, BatcherConfig, MonitorBackend, Server, ServerConfig};
+    use cce_serve::{
+        AdmissionConfig, Backend, BatcherConfig, MonitorBackend, Server, ServerConfig,
+    };
     use std::time::Duration;
 
-    let alpha = alpha_of(args)?;
-    // Sharded mode partitions rows across worker processes; it owns the
-    // whole explain path, so the single-process backends are excluded.
-    let shards = match args.int("shards")? {
-        Some(n) if n >= 1 => Some(n as usize),
-        Some(n) => return Err(format!("--shards must be at least 1, got {n}")),
-        None => None,
-    };
-    if shards.is_some() {
-        if args.optional("store").is_some() {
-            return Err("--shards and --store are mutually exclusive".into());
-        }
-        if args.int("window")?.is_some() {
-            return Err(
-                "--window is not supported with --shards (worker partitions never evict)".into(),
-            );
+    let mode = ["shards", "store"]
+        .into_iter()
+        .find(|m| args.optional(m).is_some())
+        .unwrap_or("data");
+    let own = SERVE_MODE_FLAGS
+        .iter()
+        .find(|(m, _)| *m == mode)
+        .map_or("", |(_, flags)| flags);
+    for flag in SERVE_MODE_FLAGS
+        .iter()
+        .flat_map(|(_, flags)| flags.split(' '))
+    {
+        if args.optional(flag).is_some() && !own.split(' ').any(|f| f == flag) {
+            return Err(format!("--{flag} does not apply to --{mode} serving"));
         }
     }
-    // Disk-backed mode: `/explain` answers from the converted store via
-    // the page cache; the live ingest context starts empty over the
-    // store's schema and fills from `/monitor/ingest`.
-    let mut paged = match args.optional("store") {
-        Some(path) => {
-            if args.optional("data").is_some() {
-                return Err("--store and --data are mutually exclusive".into());
-            }
-            let idx = cce_core::PagedContextIndex::open(StdVfs, &path, cache_bytes_of(args)?)
-                .map_err(|e| format!("opening {path}: {e}"))?;
-            println!("store: {path} ({} rows)", idx.len());
-            Some(idx)
-        }
-        None => None,
-    };
-    let ctx = match &paged {
-        Some(p) => Context::new(p.store().schema().clone(), Vec::new(), Vec::new()),
-        None => context_of(&load(args)?),
-    };
+    let alpha = alpha_of(args)?;
     let addr = args
         .optional("addr")
         .unwrap_or_else(|| "127.0.0.1:7878".to_string());
     // The ingest monitor tracks one target row's key online.
     let target = args.int("target")?.unwrap_or(0) as usize;
-    let monitor_rows = paged
-        .as_ref()
-        .map_or(ctx.len(), cce_core::PagedContextIndex::len);
-    if target >= monitor_rows {
-        return Err(format!(
-            "--target {target} out of range (0..{monitor_rows})"
-        ));
-    }
-    // The monitor's seed row comes from the store when disk-backed.
-    let (seed_x, seed_pred) = match paged.as_mut() {
-        Some(p) => {
-            let (x, pred, _twins) = p
-                .store_mut()
-                .row(target)
-                .map_err(|e| format!("reading row {target}: {e}"))?;
-            (x, pred)
-        }
-        None => (ctx.instance(target).clone(), ctx.prediction(target)),
-    };
     let seed = args.int("seed")?.unwrap_or(7) as u64;
-
-    let mut batcher_cfg = BatcherConfig::default();
-    if let Some(v) = args.int("max-batch")? {
-        batcher_cfg.max_batch = v.max(1) as usize;
-    }
-    if let Some(v) = args.int("linger-ms")? {
-        batcher_cfg.linger = Duration::from_millis(v.max(0) as u64);
-    }
-    if let Some(v) = args.int("threads")? {
-        batcher_cfg.threads = v.max(1) as usize;
-    }
     let mut admission_cfg = AdmissionConfig::default();
     if let Some(v) = args.int("shed-depth")? {
         admission_cfg.shed_depth = v.max(0) as usize;
@@ -614,29 +581,69 @@ fn serve(args: &Args) -> Result<(), String> {
         let active = cce_core::kernels::force(mode);
         println!("kernels: {active}");
     }
-    let mut engine_cfg = cce_core::engine::EngineConfig::default();
-    if let Some(v) = args.int("stripe-threads")? {
-        engine_cfg.stripes.threads = v.max(1) as usize;
-    }
-    if let Some(v) = args.int("stripe-words")? {
-        engine_cfg.stripes.words_per_stripe = v.max(1) as usize;
-    }
-    let window = match (args.int("window")?, args.int("window-delta")?) {
-        (Some(cap), delta) => {
-            let capacity = cap.max(1) as usize;
-            let delta = delta.unwrap_or(1).max(1) as usize;
-            if delta > capacity {
-                return Err(format!(
-                    "--window-delta {delta} must not exceed --window {capacity}"
-                ));
-            }
-            Some(cce_serve::LiveWindow { capacity, delta })
+
+    let out_of_range = |rows: usize| format!("--target {target} out of range (0..{rows})");
+    let (backend, seed_x, seed_pred) = if mode == "store" {
+        // Read-only: `/explain` answers from the converted store through
+        // the page cache; `/monitor/ingest` is refused.
+        let path = args.required("store")?;
+        let mut idx = cce_core::PagedContextIndex::open(StdVfs, &path, cache_bytes_of(args)?)
+            .map_err(|e| format!("opening {path}: {e}"))?;
+        println!("store: {path} ({} rows)", idx.len());
+        if target >= idx.len() {
+            return Err(out_of_range(idx.len()));
         }
-        (None, Some(_)) => return Err("--window-delta requires --window".into()),
-        (None, None) => None,
+        let (x, pred, _twins) = idx
+            .store_mut()
+            .row(target)
+            .map_err(|e| format!("reading row {target}: {e}"))?;
+        (Backend::paged(idx, alpha), x, pred)
+    } else {
+        let ctx = context_of(&load(args)?);
+        if target >= ctx.len() {
+            return Err(out_of_range(ctx.len()));
+        }
+        let (x, pred) = (ctx.instance(target).clone(), ctx.prediction(target));
+        let backend = if mode == "shards" {
+            serve_sharded(args, &ctx, alpha)?
+        } else {
+            let mut batcher_cfg = BatcherConfig::default();
+            if let Some(v) = args.int("max-batch")? {
+                batcher_cfg.max_batch = v.max(1) as usize;
+            }
+            if let Some(v) = args.int("linger-ms")? {
+                batcher_cfg.linger = Duration::from_millis(v.max(0) as u64);
+            }
+            if let Some(v) = args.int("threads")? {
+                batcher_cfg.threads = v.max(1) as usize;
+            }
+            let mut engine_cfg = cce_core::engine::EngineConfig::default();
+            if let Some(v) = args.int("stripe-threads")? {
+                engine_cfg.stripes.threads = v.max(1) as usize;
+            }
+            if let Some(v) = args.int("stripe-words")? {
+                engine_cfg.stripes.words_per_stripe = v.max(1) as usize;
+            }
+            let window = match (args.int("window")?, args.int("window-delta")?) {
+                (Some(cap), delta) => {
+                    let capacity = cap.max(1) as usize;
+                    let delta = delta.unwrap_or(1).max(1) as usize;
+                    if delta > capacity {
+                        return Err(format!(
+                            "--window-delta {delta} must not exceed --window {capacity}"
+                        ));
+                    }
+                    Some(cce_serve::LiveWindow { capacity, delta })
+                }
+                (None, Some(_)) => return Err("--window-delta requires --window".into()),
+                (None, None) => None,
+            };
+            Backend::engine(ctx, alpha, engine_cfg, batcher_cfg, window)
+        };
+        (backend, x, pred)
     };
 
-    let backend = if let Some(dir) = args.optional("checkpoint-dir") {
+    let monitor = if let Some(dir) = args.optional("checkpoint-dir") {
         let every = args.int("checkpoint-every")?.unwrap_or(256).max(1) as u64;
         let durable = if args.flag("resume") {
             let (d, replayed) = Durable::<OsrkMonitor, StdVfs>::resume(StdVfs, &dir, every)
@@ -649,7 +656,7 @@ fn serve(args: &Args) -> Result<(), String> {
             );
             d
         } else {
-            let m = OsrkMonitor::new(seed_x.clone(), seed_pred, alpha, seed);
+            let m = OsrkMonitor::new(seed_x, seed_pred, alpha, seed);
             Durable::create(m, StdVfs, &dir, every)
                 .map_err(|e| format!("creating checkpoint in {dir}: {e}"))?
         };
@@ -658,83 +665,10 @@ fn serve(args: &Args) -> Result<(), String> {
         if args.flag("resume") {
             return Err("--resume requires --checkpoint-dir".into());
         }
-        MonitorBackend::Plain(OsrkMonitor::new(seed_x.clone(), seed_pred, alpha, seed))
+        MonitorBackend::Plain(OsrkMonitor::new(seed_x, seed_pred, alpha, seed))
     };
 
-    let app = if let Some(n_shards) = shards {
-        use cce_serve::shard::router::IngestLog;
-        use cce_serve::shard::{
-            spawn_shards, ShardClient, ShardPolicy, ShardedBackend, WorkerSpec,
-        };
-        use std::sync::Arc;
-
-        let data = args.required("data")?;
-        let mut policy = ShardPolicy::default();
-        if let Some(v) = args.int("shard-deadline-ms")? {
-            policy.deadline = Duration::from_millis(v.max(1) as u64);
-        }
-        if let Some(v) = args.int("shard-retries")? {
-            policy.retries = v.max(0) as u32;
-        }
-        if let Some(v) = args.int("shard-backoff-ms")? {
-            policy.backoff = Duration::from_millis(v.max(0) as u64);
-        }
-        if let Some(v) = args.int("shard-hedge-ms")? {
-            policy.hedge_after = match v.max(0) {
-                0 => None,
-                ms => Some(Duration::from_millis(ms as u64)),
-            };
-        }
-        let clients: Vec<Arc<ShardClient>> = (0..n_shards)
-            .map(|i| Arc::new(ShardClient::down(i, policy)))
-            .collect();
-        let log = Arc::new(IngestLog::new());
-        let exe = std::env::current_exe().map_err(|e| format!("locating cce binary: {e}"))?;
-        let spec = WorkerSpec {
-            program: exe,
-            args_prefix: vec!["shard-worker".to_string()],
-            data: data.clone(),
-            shards: n_shards,
-        };
-        let handle = spawn_shards(spec, clients.clone(), Arc::clone(&log))
-            .map_err(|e| format!("spawning shard workers: {e}"))?;
-        let sharded = Arc::new(ShardedBackend::new(
-            alpha,
-            ctx.schema().n_features(),
-            clients,
-            ctx.len() as u64,
-            log,
-            args.flag("chaos"),
-        ));
-        sharded.set_supervisor(handle);
-        println!("shards: {n_shards} workers up over {} rows", ctx.len());
-        // The local engine only carries the schema (ingest validation,
-        // health); all rows live with the workers.
-        let empty = Context::new(ctx.schema_arc(), Vec::new(), Vec::new());
-        cce_serve::build_app_sharded(empty, alpha, batcher_cfg, admission_cfg, backend, sharded)
-    } else {
-        match paged {
-            Some(p) => cce_serve::build_app_paged(
-                ctx,
-                alpha,
-                engine_cfg,
-                batcher_cfg,
-                admission_cfg,
-                backend,
-                window,
-                p,
-            ),
-            None => cce_serve::build_app_with(
-                ctx,
-                alpha,
-                engine_cfg,
-                batcher_cfg,
-                admission_cfg,
-                backend,
-                window,
-            ),
-        }
-    };
+    let app = cce_serve::build_app(backend, admission_cfg, monitor);
     let server =
         Server::bind(app, &addr, server_cfg).map_err(|e| format!("binding {addr}: {e}"))?;
     let local = server
@@ -745,4 +679,64 @@ fn serve(args: &Args) -> Result<(), String> {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     server.run().map_err(|e| format!("serving: {e}"))
+}
+
+/// `cce serve --shards N`: spawns N supervised workers over `--data`,
+/// each holding one hash partition of `ctx`'s rows, behind the router.
+fn serve_sharded(
+    args: &Args,
+    ctx: &Context,
+    alpha: Alpha,
+) -> Result<cce_serve::Backend<StdVfs>, String> {
+    use cce_serve::shard::{
+        spawn_shards, IngestLog, ShardClient, ShardPolicy, ShardedBackend, WorkerSpec,
+    };
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    let n_shards = args.int("shards")?.unwrap_or(0);
+    if n_shards < 1 {
+        return Err(format!("--shards must be at least 1, got {n_shards}"));
+    }
+    let n_shards = n_shards as usize;
+    let mut policy = ShardPolicy::default();
+    if let Some(v) = args.int("shard-deadline-ms")? {
+        policy.deadline = Duration::from_millis(v.max(1) as u64);
+    }
+    if let Some(v) = args.int("shard-retries")? {
+        policy.retries = v.max(0) as u32;
+    }
+    if let Some(v) = args.int("shard-backoff-ms")? {
+        policy.backoff = Duration::from_millis(v.max(0) as u64);
+    }
+    if let Some(v) = args.int("shard-hedge-ms")? {
+        policy.hedge_after = match v.max(0) {
+            0 => None,
+            ms => Some(Duration::from_millis(ms as u64)),
+        };
+    }
+    let clients: Vec<Arc<ShardClient>> = (0..n_shards)
+        .map(|i| Arc::new(ShardClient::down(i, policy)))
+        .collect();
+    let log = Arc::new(IngestLog::new());
+    let exe = std::env::current_exe().map_err(|e| format!("locating cce binary: {e}"))?;
+    let spec = WorkerSpec {
+        program: exe,
+        args_prefix: vec!["shard-worker".to_string()],
+        data: args.required("data")?,
+        shards: n_shards,
+    };
+    let handle = spawn_shards(spec, clients.clone(), Arc::clone(&log))
+        .map_err(|e| format!("spawning shard workers: {e}"))?;
+    let router = Arc::new(ShardedBackend::new(
+        alpha,
+        ctx.schema().n_features(),
+        clients,
+        ctx.len() as u64,
+        log,
+        args.flag("chaos"),
+    ));
+    router.set_supervisor(handle);
+    println!("shards: {n_shards} workers up over {} rows", ctx.len());
+    Ok(cce_serve::Backend::sharded(router, ctx.schema_arc()))
 }

@@ -752,3 +752,213 @@ fn out_of_domain_csv_code_is_refused_at_load() {
         .expect("read serve stderr");
     assert!(stderr.contains("line 2"), "stderr: {stderr}");
 }
+
+/// `cce serve` refuses, by name, every flag its mode would ignore: the
+/// engine's batcher, stripe and window flags with `--store` or
+/// `--shards`, and the store's and the shards' flags with `--data`.
+#[test]
+fn serve_refuses_flags_its_mode_ignores() {
+    let data = export_loan();
+    let data = data.to_str().unwrap();
+    let store = ["--store", "never-opened.pg"];
+    let shards = ["--data", data, "--shards", "2"];
+    let cases: Vec<(Vec<&str>, &str, &str)> = vec![
+        (vec!["--window", "10"], "window", "store"),
+        (vec!["--window-delta", "2"], "window-delta", "store"),
+        (vec!["--max-batch", "4"], "max-batch", "store"),
+        (vec!["--linger-ms", "0"], "linger-ms", "store"),
+        (vec!["--threads", "2"], "threads", "store"),
+        (vec!["--stripe-threads", "2"], "stripe-threads", "store"),
+        (vec!["--stripe-words", "64"], "stripe-words", "store"),
+        (vec!["--data", data], "data", "store"),
+    ]
+    .into_iter()
+    .map(|(extra, flag, mode)| ([&store[..], &extra].concat(), flag, mode))
+    .chain(
+        [
+            (vec!["--window", "10"], "window"),
+            (vec!["--max-batch", "4"], "max-batch"),
+            (vec!["--linger-ms", "0"], "linger-ms"),
+            (vec!["--threads", "2"], "threads"),
+            (vec!["--stripe-threads", "2"], "stripe-threads"),
+            (vec!["--store", "x.pg"], "store"),
+            (vec!["--cache-mb", "4"], "cache-mb"),
+        ]
+        .into_iter()
+        .map(|(extra, flag)| ([&shards[..], &extra].concat(), flag, "shards")),
+    )
+    .chain(
+        [
+            (vec!["--cache-mb", "4"], "cache-mb"),
+            (vec!["--chaos"], "chaos"),
+            (vec!["--shard-retries", "1"], "shard-retries"),
+            (vec!["--shard-deadline-ms", "50"], "shard-deadline-ms"),
+            (vec!["--shard-backoff-ms", "5"], "shard-backoff-ms"),
+            (vec!["--shard-hedge-ms", "5"], "shard-hedge-ms"),
+        ]
+        .into_iter()
+        .map(|(extra, flag)| ([&["--data", data][..], &extra].concat(), flag, "data")),
+    )
+    .collect();
+    for (args, flag, mode) in cases {
+        let out = cce()
+            .arg("serve")
+            .args(&args)
+            .args(["--addr", "127.0.0.1:0"])
+            .output()
+            .expect("run cce serve");
+        assert!(!out.status.success(), "{args:?} must be refused");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("--{flag} does not apply to --{mode} serving")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+/// Starts `cce serve <args>` on an ephemeral port; returns the child and
+/// its address once it listens.
+fn start_serve(args: &[&str]) -> (std::process::Child, String) {
+    let mut child = cce()
+        .arg("serve")
+        .args(args)
+        .args(["--addr", "127.0.0.1:0"])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn cce serve");
+    let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+    let (addr, _) = wait_for_listening(&mut stdout);
+    (child, addr)
+}
+
+/// Drains `child` and requires a clean exit.
+fn drain(mut child: std::process::Child, addr: &str) {
+    let (status, _) = http_roundtrip(addr, "POST", "/admin/shutdown", "");
+    assert_eq!(status, 200);
+    assert!(
+        child.wait().expect("serve exits").success(),
+        "drain exits 0"
+    );
+}
+
+/// The flag sets the repository benchmark and CI start `cce serve` with
+/// still start it, in every mode.
+#[test]
+fn serve_starts_with_the_benchmark_flag_sets() {
+    let data = export_loan();
+    let data = data.to_str().unwrap();
+    let store = tmp("serve-flag-sets.pg");
+    let out = cce()
+        .args(["convert", "--data", data, "--out", store.to_str().unwrap()])
+        .output()
+        .expect("run cce convert");
+    assert!(out.status.success());
+    let ckpt = tmp("serve-flag-sets-ckpt");
+    let ckpt = ckpt.to_str().unwrap();
+    let common = ["--alpha", "1", "--target", "0", "--seed", "7"];
+    let modes: [Vec<&str>; 4] = [
+        vec!["--data", data, "--window", "400", "--window-delta", "10"],
+        vec!["--store", store.to_str().unwrap(), "--cache-mb", "4"],
+        vec!["--data", data, "--shards", "2"],
+        vec!["--data", data, "--checkpoint-every", "64"],
+    ];
+    for mode in modes {
+        let _ = std::fs::remove_dir_all(ckpt);
+        let args = [&mode[..], &common, &["--checkpoint-dir", ckpt]].concat();
+        let (child, addr) = start_serve(&args);
+        let (status, body) = http_roundtrip(&addr, "POST", "/explain", "{\"target\":1}");
+        assert!(matches!(status, 200 | 409), "{mode:?}: {status} {body}");
+        drain(child, &addr);
+    }
+}
+
+/// Store mode is read-only and admitted like `--data`: it sheds and
+/// degrades under the same thresholds, refuses ingest with 409 before the
+/// WAL, and `/healthz` reports the store's rows.
+#[test]
+fn serve_store_mode_is_admitted_and_read_only() {
+    let data = export_loan();
+    let store = tmp("serve-store-mode.pg");
+    let out = cce()
+        .args([
+            "convert",
+            "--data",
+            data.to_str().unwrap(),
+            "--out",
+            store.to_str().unwrap(),
+        ])
+        .output()
+        .expect("run cce convert");
+    assert!(out.status.success());
+    let rows = std::fs::read_to_string(&data).unwrap().lines().count() - 1;
+    let store = store.to_str().unwrap();
+
+    let (child, addr) = start_serve(&[
+        "--store",
+        store,
+        "--shed-depth",
+        "0",
+        "--degrade-depth",
+        "0",
+    ]);
+    let (status, body) = http_roundtrip(&addr, "POST", "/explain", "{\"target\":0}");
+    assert_eq!(status, 429, "{body}");
+    drain(child, &addr);
+
+    let (child, addr) = start_serve(&[
+        "--store",
+        store,
+        "--degrade-depth",
+        "0",
+        "--degrade-budget",
+        "1",
+    ]);
+    let (status, body) = http_roundtrip(&addr, "POST", "/explain", "{\"target\":0}");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"status\":\"degraded\""), "{body}");
+    drain(child, &addr);
+
+    let ckpt = tmp("serve-store-mode-ckpt");
+    let _ = std::fs::remove_dir_all(&ckpt);
+    let (child, addr) =
+        start_serve(&["--store", store, "--checkpoint-dir", ckpt.to_str().unwrap()]);
+    let wal = |dir: &std::path::Path| -> Vec<(String, u64)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .expect("checkpoint dir")
+            .map(|e| {
+                let e = e.unwrap();
+                (
+                    e.file_name().to_string_lossy().into_owned(),
+                    e.metadata().unwrap().len(),
+                )
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let before = wal(&ckpt);
+    let (status, health) = http_roundtrip(&addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    assert!(health.contains(&format!("\"rows\":{rows},")), "{health}");
+    let features = health
+        .split("\"features\":")
+        .nth(1)
+        .and_then(|s| s.split([',', '}']).next())
+        .and_then(|s| s.parse::<usize>().ok())
+        .expect("features in healthz");
+    let row = format!(
+        "{{\"values\":[{}],\"prediction\":0}}",
+        vec!["0"; features].join(",")
+    );
+    let (status, body) = http_roundtrip(&addr, "POST", "/monitor/ingest", &row);
+    assert_eq!(status, 409, "{body}");
+    assert!(body.contains("store mode is read-only"), "{body}");
+    assert_eq!(
+        wal(&ckpt),
+        before,
+        "a refused ingest leaves the WAL untouched"
+    );
+    let (_, health) = http_roundtrip(&addr, "GET", "/healthz", "");
+    assert!(health.contains("\"ingested\":0"), "{health}");
+    drain(child, &addr);
+}

@@ -1,7 +1,8 @@
 //! Budgeted admission control: the overload state machine.
 //!
-//! The daemon tracks its coalescing-queue depth and moves through three
-//! levels:
+//! The daemon observes its backend's load once per explain — the
+//! batcher's queue depth, or the explains in flight — and moves through
+//! three levels:
 //!
 //! ```text
 //!            depth ≥ degrade_depth            depth ≥ shed_depth
@@ -17,7 +18,7 @@
 //!   `"degraded"` [`ExplainStatus`] with the partial key, trading key
 //!   completeness for bounded latency.
 //! * **Shedding** — new work is refused outright with `429` and a
-//!   `Retry-After` hint; queued work still drains (degraded).
+//!   `Retry-After` hint; admitted work still finishes.
 //!
 //! Exits use half-depth hysteresis so a queue oscillating around a
 //! threshold does not flap between levels on every request.
@@ -32,9 +33,9 @@ use cce_core::WorkBudget;
 /// Thresholds of the admission state machine.
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionConfig {
-    /// Queue depth at which new requests are shed with `429`.
+    /// Load at which new requests are shed with `429`.
     pub shed_depth: usize,
-    /// Queue depth at which explains degrade to `degrade_budget`.
+    /// Load at which explains degrade to `degrade_budget`.
     pub degrade_depth: usize,
     /// Violator-scan budget per explain while degraded.
     pub degrade_budget: u64,
@@ -62,7 +63,7 @@ pub enum Level {
 }
 
 /// The state machine itself. All transitions happen in [`Admission::observe`],
-/// driven by queue-depth observations from the submit and drain paths.
+/// driven by the load each explain observes on admission.
 #[derive(Debug)]
 pub struct Admission {
     cfg: AdmissionConfig,
@@ -83,7 +84,7 @@ impl Admission {
         self.cfg
     }
 
-    /// Feeds a queue-depth observation through the transition function
+    /// Feeds a load observation through the transition function
     /// and returns the (possibly new) level.
     pub fn observe(&self, depth: usize) -> Level {
         let mut level = self.level.lock().unwrap_or_else(|e| e.into_inner());

@@ -10,10 +10,9 @@
 //! invisible in the response bytes (the coalescing differential test
 //! proves them identical to per-request [`Srk::explain`]).
 //!
-//! The queue is also the admission-control sensor: submit feeds the
-//! post-enqueue depth to the [`Admission`] machine (shedding with `429`
-//! happens *before* enqueueing), and the drain path feeds the backlog
-//! left behind, which decides whether the next batch runs degraded.
+//! Each job carries the work budget admission gave it; a batch runs as
+//! one engine pass per run of equal budgets. The queue depth is the
+//! engine backend's admission load ([`crate::backend`]).
 //!
 //! [`Srk::explain`]: cce_core::Srk::explain
 
@@ -23,8 +22,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
 use cce_core::{BatchEngine, BudgetedKey, ExplainError, WorkBudget};
-
-use crate::admission::{Admission, AdmissionConfig, Level};
 
 /// Coalescing parameters.
 #[derive(Debug, Clone, Copy)]
@@ -50,18 +47,9 @@ impl Default for BatcherConfig {
     }
 }
 
-/// What happened to a submitted explain request.
-pub enum Submission {
-    /// Accepted; await the result on the receiver.
-    Enqueued(mpsc::Receiver<Result<BudgetedKey, ExplainError>>),
-    /// Refused by admission control (respond `429`).
-    Shed,
-    /// The queue is closed for drain (respond `503`).
-    Closed,
-}
-
 struct Job {
     target: usize,
+    budget: WorkBudget,
     tx: mpsc::Sender<Result<BudgetedKey, ExplainError>>,
 }
 
@@ -78,7 +66,6 @@ struct QueueState {
 /// patch is microseconds — no index rebuild happens on either side).
 pub struct Batcher {
     engine: Arc<RwLock<BatchEngine>>,
-    admission: Admission,
     cfg: BatcherConfig,
     state: Mutex<QueueState>,
     cv: Condvar,
@@ -86,14 +73,9 @@ pub struct Batcher {
 
 impl Batcher {
     /// A new open queue over `engine`.
-    pub fn new(
-        engine: Arc<RwLock<BatchEngine>>,
-        cfg: BatcherConfig,
-        admission: AdmissionConfig,
-    ) -> Self {
+    pub fn new(engine: Arc<RwLock<BatchEngine>>, cfg: BatcherConfig) -> Self {
         Self {
             engine,
-            admission: Admission::new(admission),
             cfg,
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
@@ -108,33 +90,27 @@ impl Batcher {
         &self.engine
     }
 
-    /// The admission machine (for health reporting).
-    pub fn admission(&self) -> &Admission {
-        &self.admission
-    }
-
     fn lock(&self) -> MutexGuard<'_, QueueState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Submits one target for explanation. Sheds *before* enqueueing when
-    /// the admission machine says so, so a 429 costs no queue slot.
-    pub fn submit(&self, target: usize) -> Submission {
+    /// Queues one target for explanation under `budget`; await the
+    /// result on the receiver. `None` once the queue is closed.
+    pub fn submit(
+        &self,
+        target: usize,
+        budget: WorkBudget,
+    ) -> Option<mpsc::Receiver<Result<BudgetedKey, ExplainError>>> {
         let mut st = self.lock();
         if !st.open {
-            return Submission::Closed;
-        }
-        let level = self.admission.observe(st.queue.len() + 1);
-        if level == Level::Shedding {
-            cce_obs::counter!("cce_serve_shed_total").inc();
-            return Submission::Shed;
+            return None;
         }
         let (tx, rx) = mpsc::channel();
-        st.queue.push_back(Job { target, tx });
+        st.queue.push_back(Job { target, budget, tx });
         cce_obs::gauge!("cce_serve_queue_depth").set(st.queue.len() as i64);
         drop(st);
         self.cv.notify_all();
-        Submission::Enqueued(rx)
+        Some(rx)
     }
 
     /// Current queue depth (tests and `/healthz`).
@@ -142,8 +118,8 @@ impl Batcher {
         self.lock().queue.len()
     }
 
-    /// Closes the queue: new submits get [`Submission::Closed`]; the run
-    /// loop drains what is already queued, then returns.
+    /// Closes the queue: new submits get `None`; the run loop drains
+    /// what is already queued, then returns.
     pub fn close(&self) {
         self.lock().open = false;
         self.cv.notify_all();
@@ -156,18 +132,24 @@ impl Batcher {
         loop {
             let batch = self.next_batch();
             let Some(batch) = batch else { return };
-            let budget = self.admission.budget();
-            if budget != WorkBudget::unlimited() {
-                cce_obs::counter!("cce_serve_degraded_batches_total").inc();
-            }
             cce_obs::histogram!("cce_serve_batch_size").record(batch.len() as u64);
-            let targets: Vec<usize> = batch.iter().map(|j| j.target).collect();
             let t0 = Instant::now();
-            let results = self
-                .engine
-                .read()
-                .unwrap_or_else(|e| e.into_inner())
-                .explain_batch(&targets, budget, self.cfg.threads);
+            let mut results = Vec::with_capacity(batch.len());
+            let mut rest = &batch[..];
+            while let Some(first) = rest.first() {
+                let n = rest.iter().take_while(|j| j.budget == first.budget).count();
+                let targets: Vec<usize> = rest[..n].iter().map(|j| j.target).collect();
+                rest = &rest[n..];
+                if first.budget != WorkBudget::unlimited() {
+                    cce_obs::counter!("cce_serve_degraded_batches_total").inc();
+                }
+                results.extend(
+                    self.engine
+                        .read()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .explain_batch(&targets, first.budget, self.cfg.threads),
+                );
+            }
             cce_obs::histogram!("cce_serve_batch_explain_ns")
                 .record(t0.elapsed().as_nanos() as u64);
             for (job, result) in batch.into_iter().zip(results) {
@@ -209,10 +191,6 @@ impl Batcher {
         let take = st.queue.len().min(self.cfg.max_batch);
         let batch: Vec<Job> = st.queue.drain(..take).collect();
         cce_obs::gauge!("cce_serve_queue_depth").set(st.queue.len() as i64);
-        // The backlog left behind decides this batch's fidelity: a deep
-        // residue means the server is behind, so the drained batch runs
-        // under the degraded budget.
-        self.admission.observe(st.queue.len());
         Some(batch)
     }
 }

@@ -1,25 +1,15 @@
-//! `cce-serve` — the explanation-serving daemon.
+//! `cce-serve` — the explanation-serving daemon: a zero-dependency
+//! HTTP/1.1 service over the CCE core.
 //!
-//! The front door the ROADMAP's "millions of users" north star asks for:
-//! a zero-dependency HTTP/1.1 service wrapping the CCE explainability
-//! core, in the mold of an analytics service around an explanation
-//! engine. Every production substrate the repo already has is wired
-//! through it:
-//!
-//! * concurrent `POST /explain` requests **coalesce** into micro-batches
-//!   over the shared [`BatchEngine`], exploiting duplicate-row
-//!   memoization *across requests* ([`batcher`]);
-//! * overload triggers **budgeted admission control** — degraded partial
-//!   keys via [`WorkBudget`]s, then `429` shedding — with an explicit
-//!   hysteresis state machine ([`admission`]);
-//! * `POST /monitor/ingest` runs the online monitor behind the
-//!   [`Durable`] WAL wrapper, so an HTTP `200` *is* a durability
-//!   acknowledgment that survives `kill -9` ([`ingest`]);
-//! * `GET /metrics` exposes the whole `cce-obs` registry in Prometheus
-//!   text format, including per-endpoint latency histograms and
-//!   queue-depth gauges;
-//! * `POST /admin/shutdown` runs the graceful drain protocol
-//!   ([`server`] module docs).
+//! * [`app`] routes requests and runs admission, drain and rendering
+//!   once, over the one [`Backend`] a daemon serves from ([`backend`]):
+//!   the in-RAM engine behind the coalescing [`batcher`], a converted
+//!   store, or the [`shard`] router;
+//! * [`admission`] degrades explains to bounded [`WorkBudget`]s under
+//!   load, then sheds with `429`;
+//! * [`ingest`] runs the online monitor behind the [`Durable`] WAL, so an
+//!   HTTP `200` on `/monitor/ingest` *is* a durability acknowledgment;
+//! * [`server`] is the TCP layer and the graceful drain protocol.
 //!
 //! [`Durable`]: cce_core::Durable
 //! [`WorkBudget`]: cce_core::WorkBudget
@@ -29,114 +19,17 @@
 
 pub mod admission;
 pub mod app;
+pub mod backend;
 pub mod batcher;
 pub mod http;
 pub mod ingest;
 pub mod json;
 pub mod server;
 pub mod shard;
-pub mod store;
 
 pub use admission::{Admission, AdmissionConfig, Level};
-pub use app::{explain_response, App, LiveWindow};
-pub use batcher::{Batcher, BatcherConfig, Submission};
+pub use app::{build_app, explain_response, App};
+pub use backend::{Backend, LiveWindow};
+pub use batcher::{Batcher, BatcherConfig};
 pub use ingest::{IngestAck, IngestError, IngestState, MonitorBackend};
 pub use server::{Server, ServerConfig};
-pub use store::PagedBackend;
-
-use std::sync::{Arc, RwLock};
-
-use cce_core::engine::EngineConfig;
-use cce_core::persist::Vfs;
-use cce_core::{Alpha, BatchEngine, Context, PagedContextIndex};
-
-/// Assembles an [`App`] from its parts: engine over `ctx`, coalescing
-/// batcher, and an ingest state over `backend`. The CLI, the tests, and
-/// the fault-injection harness all build the daemon through here.
-pub fn build_app<V: Vfs>(
-    ctx: Context,
-    alpha: Alpha,
-    batcher_cfg: BatcherConfig,
-    admission_cfg: AdmissionConfig,
-    backend: MonitorBackend<V>,
-) -> Arc<App<V>> {
-    build_app_with(
-        ctx,
-        alpha,
-        EngineConfig::default(),
-        batcher_cfg,
-        admission_cfg,
-        backend,
-        None,
-    )
-}
-
-/// [`build_app`] with an explicit [`EngineConfig`] and an optional
-/// [`LiveWindow`] bound on the ingest context — the CLI's entry point,
-/// carrying the `--stripe-*` flags into the engine and
-/// `--window`/`--window-delta` into the ΔI slide policy.
-#[allow(clippy::too_many_arguments)]
-pub fn build_app_with<V: Vfs>(
-    ctx: Context,
-    alpha: Alpha,
-    engine_cfg: EngineConfig,
-    batcher_cfg: BatcherConfig,
-    admission_cfg: AdmissionConfig,
-    backend: MonitorBackend<V>,
-    window: Option<LiveWindow>,
-) -> Arc<App<V>> {
-    let width = ctx.schema().n_features();
-    let engine = Arc::new(RwLock::new(BatchEngine::with_config(
-        ctx, alpha, engine_cfg,
-    )));
-    let batcher = Arc::new(Batcher::new(engine, batcher_cfg, admission_cfg));
-    Arc::new(App::new(batcher, IngestState::new(backend, width), window))
-}
-
-/// [`build_app_with`] plus a disk-backed explain backend: `/explain`
-/// answers from the paged store (through the LRU page cache) while
-/// ingest/monitor still run over the live `ctx`. The store and the
-/// monitor share one [`Vfs`] type, so fault injection covers both.
-#[allow(clippy::too_many_arguments)]
-pub fn build_app_paged<V: Vfs>(
-    ctx: Context,
-    alpha: Alpha,
-    engine_cfg: EngineConfig,
-    batcher_cfg: BatcherConfig,
-    admission_cfg: AdmissionConfig,
-    backend: MonitorBackend<V>,
-    window: Option<LiveWindow>,
-    paged: PagedContextIndex<V>,
-) -> Arc<App<V>> {
-    let width = ctx.schema().n_features();
-    let engine = Arc::new(RwLock::new(BatchEngine::with_config(
-        ctx, alpha, engine_cfg,
-    )));
-    let batcher = Arc::new(Batcher::new(engine, batcher_cfg, admission_cfg));
-    Arc::new(
-        App::new(batcher, IngestState::new(backend, width), window)
-            .with_paged(PagedBackend::new(paged)),
-    )
-}
-
-/// [`build_app`] over a sharded scatter/gather backend: `/explain` and
-/// live ingest route to supervised shard workers; the local engine exists
-/// only to carry the schema for ingest validation and health reporting.
-/// `ctx` should be an empty context over the serving schema.
-pub fn build_app_sharded<V: Vfs>(
-    ctx: Context,
-    alpha: Alpha,
-    batcher_cfg: BatcherConfig,
-    admission_cfg: AdmissionConfig,
-    backend: MonitorBackend<V>,
-    sharded: Arc<shard::ShardedBackend>,
-) -> Arc<App<V>> {
-    let width = ctx.schema().n_features();
-    let engine = Arc::new(RwLock::new(BatchEngine::with_config(
-        ctx,
-        alpha,
-        EngineConfig::default(),
-    )));
-    let batcher = Arc::new(Batcher::new(engine, batcher_cfg, admission_cfg));
-    Arc::new(App::new(batcher, IngestState::new(backend, width), None).with_sharded(sharded))
-}

@@ -3,7 +3,7 @@
 //! Hand-rolled over `std::net::TcpListener` + `std::thread::scope` (the
 //! workspace has no async runtime and no registry access). One scoped
 //! thread per connection (capped; excess connections get an immediate
-//! `503`), one batcher thread draining the coalescing queue.
+//! `503`).
 //!
 //! # Drain protocol (SIGTERM-equivalent)
 //!
@@ -16,8 +16,9 @@
 //! 2. **Finish in-flight** — connection threads stop keep-alive reuse
 //!    (`Connection: close` on every response once draining) and are
 //!    joined; blocked keep-alive reads expire via the read timeout.
-//! 3. **Flush the batch queue** — the batcher queue closes, every
-//!    already-accepted explain is answered, then the batcher exits.
+//! 3. **Close the backend** — the engine's queue closes once every
+//!    accepted explain is answered and its batcher thread exits; the
+//!    shard router stops its workers.
 //! 4. **Final checkpoint** — the durable monitor rotates one last
 //!    snapshot, so a clean restart replays zero WAL records.
 
@@ -144,8 +145,6 @@ impl<V: Vfs + Send> Server<V> {
         let active = AtomicUsize::new(0);
         let active = &active;
         std::thread::scope(|s| {
-            let batcher = Arc::clone(app.batcher());
-            let batcher_thread = s.spawn(move || batcher.run());
             let mut connections = Vec::new();
             for stream in self.listener.incoming() {
                 if app.draining() {
@@ -170,17 +169,13 @@ impl<V: Vfs + Send> Server<V> {
                 }));
             }
             // Draining: no new connections. Join the existing ones (their
-            // keep-alive loops exit on the next response or read timeout),
-            // then flush the queue.
+            // keep-alive loops exit on the next response or read timeout).
             for c in connections {
                 let _ = c.join();
             }
-            app.batcher().close();
-            let _ = batcher_thread.join();
-            // Sharded: stop the supervisor and workers only after every
-            // in-flight scatter has been answered.
-            app.stop_shards();
         });
+        // No request can reach the backend any more.
+        self.app.backend().close();
         self.app
             .final_checkpoint()
             .map_err(|e| io::Error::other(format!("final checkpoint: {e}")))

@@ -21,9 +21,14 @@
 //! owner* is unreachable is there nothing left to explain against —
 //! that surfaces as [`ShardedAnswer::Unavailable`] (a `503`, never a
 //! `500`).
+//!
+//! Ingest: an explain holds the read side of one lock across all its
+//! rounds and [`ShardedBackend::push`] holds the write side while a row
+//! lands, so every round of one explain counts the same rows — the
+//! in-RAM engine's discipline.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, RwLock};
 
 use cce_core::greedy::{self, Algo, CountSource};
 use cce_core::{Alpha, BudgetedKey, ExplainError, WorkBudget};
@@ -188,7 +193,8 @@ pub struct ShardedBackend {
     total_rows: AtomicU64,
     log: Arc<IngestLog>,
     supervisor: Mutex<Option<SupervisorHandle>>,
-    inflight: AtomicUsize,
+    /// Explains read, pushes write: no row lands mid-explain.
+    rows_lock: RwLock<()>,
     chaos: bool,
 }
 
@@ -212,7 +218,7 @@ impl ShardedBackend {
             total_rows: AtomicU64::new(base_rows),
             log,
             supervisor: Mutex::new(None),
-            inflight: AtomicUsize::new(0),
+            rows_lock: RwLock::new(()),
             chaos,
         }
     }
@@ -252,12 +258,6 @@ impl ShardedBackend {
         self.chaos
     }
 
-    /// Current scatter concurrency (requests inside [`Self::explain`]).
-    #[must_use]
-    pub fn inflight(&self) -> usize {
-        self.inflight.load(Ordering::SeqCst)
-    }
-
     /// Asks the supervisor to kill one random live worker (chaos
     /// testing). Returns false when no supervisor is attached.
     pub fn kill_random_shard(&self) -> bool {
@@ -287,6 +287,7 @@ impl ShardedBackend {
     ///
     /// Returns `(global_index, total_rows_after)`.
     pub fn push(self: &Arc<Self>, x: Vec<u32>, pred: u32) -> (u64, u64) {
+        let _landing = self.rows_lock.write().unwrap_or_else(|e| e.into_inner());
         let global = self.total_rows.fetch_add(1, Ordering::SeqCst);
         self.log.append(global, x.clone(), pred);
         let owner = shard_of(global, self.n_shards());
@@ -366,9 +367,10 @@ impl ShardedBackend {
     /// or failing mid-request, the greedy restarts over the surviving
     /// partitions and the answer is labeled with the missing shards.
     pub fn explain(self: &Arc<Self>, target: u64, budget: WorkBudget) -> ShardedAnswer {
-        self.inflight.fetch_add(1, Ordering::SeqCst);
-        let answer = self.explain_inner(target, budget);
-        self.inflight.fetch_sub(1, Ordering::SeqCst);
+        let answer = {
+            let _rows = self.rows_lock.read().unwrap_or_else(|e| e.into_inner());
+            self.explain_inner(target, budget)
+        };
         if let ShardedAnswer::Done { missing_shards, .. } = &answer {
             if !missing_shards.is_empty() {
                 cce_obs::counter!("cce_shard_partial_answers_total").inc();

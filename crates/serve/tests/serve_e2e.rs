@@ -17,12 +17,13 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
+use cce_core::engine::EngineConfig;
 use cce_core::persist::{FaultPlan, MemVfs, PersistError, Vfs};
 use cce_core::{Alpha, Context, Durable, OsrkMonitor, Srk, WorkBudget};
 use cce_dataset::{synth, BinSpec};
 use cce_serve::http::{read_response, Request};
 use cce_serve::{
-    build_app, build_app_with, explain_response, AdmissionConfig, App, BatcherConfig, LiveWindow,
+    build_app, explain_response, AdmissionConfig, App, Backend, BatcherConfig, LiveWindow,
     MonitorBackend, Server, ServerConfig,
 };
 
@@ -47,7 +48,11 @@ fn plain_app(
 ) -> Arc<App<MemVfs>> {
     let alpha = Alpha::new(ALPHA).expect("valid alpha");
     let backend = MonitorBackend::Plain(monitor_for(&ctx, alpha));
-    build_app(ctx, alpha, batcher_cfg, admission_cfg, backend)
+    build_app(
+        Backend::engine(ctx, alpha, EngineConfig::default(), batcher_cfg, None),
+        admission_cfg,
+        backend,
+    )
 }
 
 struct Daemon {
@@ -361,17 +366,19 @@ fn ingested_arrivals_are_immediately_explainable() {
     let pool = loan_ctx(120);
     let alpha = Alpha::new(ALPHA).unwrap();
     let backend: MonitorBackend<MemVfs> = MonitorBackend::Plain(monitor_for(&initial, alpha));
-    let app = build_app_with(
-        initial,
-        alpha,
-        cce_core::engine::EngineConfig::default(),
-        BatcherConfig::default(),
+    let app = build_app(
+        Backend::engine(
+            initial,
+            alpha,
+            EngineConfig::default(),
+            BatcherConfig::default(),
+            Some(LiveWindow {
+                capacity: 60,
+                delta: 8,
+            }),
+        ),
         AdmissionConfig::default(),
         backend,
-        Some(LiveWindow {
-            capacity: 60,
-            delta: 8,
-        }),
     );
     let daemon = start(Arc::clone(&app));
 
@@ -405,7 +412,10 @@ fn ingested_arrivals_are_immediately_explainable() {
 
     // A row that arrived via ingest is now a servable explain target,
     // and the served bytes match a fresh SRK over the live context.
-    let engine = app.batcher().engine().read().unwrap();
+    let Backend::Engine { batcher, .. } = app.backend() else {
+        unreachable!("built over an engine")
+    };
+    let engine = batcher.engine().read().unwrap();
     let ctx = engine.materialize();
     drop(engine);
     let srk = Srk::new(alpha);
@@ -437,21 +447,23 @@ fn ingest_rejects_out_of_cardinality_values_without_poisoning_context() {
     let initial = loan_ctx(40);
     let alpha = Alpha::new(ALPHA).unwrap();
     let backend: MonitorBackend<MemVfs> = MonitorBackend::Plain(monitor_for(&initial, alpha));
-    let app = build_app_with(
-        initial,
-        alpha,
-        cce_core::engine::EngineConfig::default(),
-        BatcherConfig::default(),
+    let app = build_app(
+        Backend::engine(
+            initial,
+            alpha,
+            EngineConfig::default(),
+            BatcherConfig::default(),
+            Some(LiveWindow {
+                capacity: 60,
+                delta: 8,
+            }),
+        ),
         AdmissionConfig::default(),
         backend,
-        Some(LiveWindow {
-            capacity: 60,
-            delta: 8,
-        }),
     );
     let daemon = start(Arc::clone(&app));
 
-    let n = app.batcher().engine().read().unwrap().schema().n_features();
+    let n = app.backend().schema().n_features();
     // Every feature gets a wildly out-of-range code.
     let values: Vec<String> = (0..n).map(|_| "4096".to_string()).collect();
     let body = format!("{{\"values\":[{}],\"prediction\":0}}", values.join(","));
@@ -601,9 +613,13 @@ fn kill_during_ingest_preserves_every_acked_arrival() {
             }
         };
         let app = build_app(
-            ctx.clone(),
-            alpha,
-            BatcherConfig::default(),
+            Backend::engine(
+                ctx.clone(),
+                alpha,
+                EngineConfig::default(),
+                BatcherConfig::default(),
+                None,
+            ),
             AdmissionConfig::default(),
             MonitorBackend::Durable(durable),
         );
@@ -677,19 +693,11 @@ fn store_backed_serving_matches_ram_and_reports_cache() {
     cce_core::pagestore::write_store(&mut vfs, "loan.pg", &ctx, 4096, &[]).expect("convert");
     let paged =
         cce_core::PagedContextIndex::open(vfs.clone(), "loan.pg", 1 << 22).expect("open store");
-    // The live ingest context starts empty over the store's schema —
-    // exactly what `cce serve --store` builds.
-    let empty = Context::new(Arc::new(ctx.schema().clone()), Vec::new(), Vec::new());
     let backend = MonitorBackend::Plain(monitor_for(&ctx, alpha));
-    let app = cce_serve::build_app_paged(
-        empty,
-        alpha,
-        cce_core::engine::EngineConfig::default(),
-        BatcherConfig::default(),
+    let app = build_app(
+        Backend::paged(paged, alpha),
         AdmissionConfig::default(),
         backend,
-        None,
-        paged,
     );
     let daemon = start(app);
 
@@ -754,17 +762,11 @@ fn store_page_rot_surfaces_as_500_not_wrong_bits() {
     }
     vfs.write("loan.pg", &bytes).expect("rot the shared file");
 
-    let empty = Context::new(Arc::new(ctx.schema().clone()), Vec::new(), Vec::new());
     let backend = MonitorBackend::Plain(monitor_for(&ctx, alpha));
-    let app = cce_serve::build_app_paged(
-        empty,
-        alpha,
-        cce_core::engine::EngineConfig::default(),
-        BatcherConfig::default(),
+    let app = build_app(
+        Backend::paged(paged, alpha),
         AdmissionConfig::default(),
         backend,
-        None,
-        paged,
     );
     let daemon = start(app);
     let (status, body) = roundtrip(daemon.addr, "POST", "/explain", "{\"target\":5}");

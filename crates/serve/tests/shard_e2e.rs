@@ -21,8 +21,8 @@ use cce_serve::shard::{
     spawn_shards, IngestLog, ShardClient, ShardPolicy, ShardedAnswer, ShardedBackend, WorkerSpec,
 };
 use cce_serve::{
-    build_app_sharded, explain_response, AdmissionConfig, App, BatcherConfig, MonitorBackend,
-    Server, ServerConfig,
+    build_app, explain_response, AdmissionConfig, App, Backend, MonitorBackend, Server,
+    ServerConfig,
 };
 
 const ALPHA: f64 = 1.0;
@@ -58,8 +58,24 @@ fn worker_spec(data: &Path, shards: usize) -> WorkerSpec {
 /// Spawns `shards` real worker processes over `ds` and returns the
 /// router backend wired to them.
 fn sharded_backend(tag: &str, ds: &Dataset, shards: usize, chaos: bool) -> Arc<ShardedBackend> {
+    sharded_backend_at(
+        tag,
+        ds,
+        shards,
+        chaos,
+        Alpha::new(ALPHA).expect("valid alpha"),
+    )
+}
+
+/// [`sharded_backend`] explaining at `alpha`.
+fn sharded_backend_at(
+    tag: &str,
+    ds: &Dataset,
+    shards: usize,
+    chaos: bool,
+    alpha: Alpha,
+) -> Arc<ShardedBackend> {
     let data = write_data(tag, ds);
-    let alpha = Alpha::new(ALPHA).expect("valid alpha");
     let policy = ShardPolicy {
         breaker_cooloff: Duration::from_millis(200),
         ..ShardPolicy::default()
@@ -195,6 +211,100 @@ fn ingested_rows_route_to_owner_shards_and_are_explainable() {
     backend.stop();
 }
 
+/// An explain never mixes two context states: while one thread pushes
+/// rows that collide with the explained targets (same values, opposite
+/// prediction), every answer equals `Srk` over the first `k` rows for
+/// some row count `k` between the explain's start and its end. Without
+/// the router's read guard, a push landing between two scatter rounds
+/// gives the rounds different row sets, and the key matches no state.
+#[test]
+fn explains_racing_colliding_pushes_see_one_row_state() {
+    let ds = loan_dataset(200);
+    // α < 1: the tolerance and the achieved conformity then depend on
+    // the row count, so an explain over mixed states is visible.
+    let alpha = Alpha::new(0.9).unwrap();
+    let backend = sharded_backend_at("race", &ds, 2, false, alpha);
+    let n_classes = ds.label_names().len() as u32;
+    let targets = [3usize, 17, 42, 77, 101, 150, 199];
+
+    let done = AtomicBool::new(false);
+    let answers: Vec<(usize, u64, u64, String)> = std::thread::scope(|s| {
+        s.spawn(|| {
+            // Capped so the collisions never swamp every key.
+            for i in 0..400 {
+                if done.load(Ordering::SeqCst) {
+                    break;
+                }
+                let t = targets[i % targets.len()];
+                let x: Vec<u32> = ds.instance(t).values().to_vec();
+                backend.push(x, (ds.label(t).0 + 1) % n_classes);
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        });
+        let mut answers = Vec::new();
+        for i in 0..60 {
+            let target = targets[i % targets.len()];
+            let start = backend.total_rows();
+            let ShardedAnswer::Done {
+                result,
+                missing_shards,
+            } = backend.explain(target as u64, WorkBudget::unlimited())
+            else {
+                panic!("target {target}: unavailable with every shard healthy");
+            };
+            let end = backend.total_rows();
+            assert!(missing_shards.is_empty(), "target {target}: no faults ran");
+            let body = explain_response(target, alpha, &result).body;
+            answers.push((target, start, end, String::from_utf8(body).unwrap()));
+        }
+        done.store(true, Ordering::SeqCst);
+        answers
+    });
+    backend.stop();
+    let raced = answers
+        .iter()
+        .filter(|(_, start, end, _)| end > start)
+        .count();
+    assert!(raced >= 5, "only {raced} explains raced a push");
+
+    // Row `r` of every state: the base rows, then the pushes in order.
+    let row = |r: usize| {
+        let t = r
+            .checked_sub(ds.len())
+            .map_or(r, |p| targets[p % targets.len()]);
+        let label = if r < ds.len() {
+            ds.label(t)
+        } else {
+            cce_dataset::Label((ds.label(t).0 + 1) % n_classes)
+        };
+        (ds.instance(t).clone(), label)
+    };
+    let srk = Srk::new(alpha);
+    let mut expected = std::collections::HashMap::new();
+    let mut mixed = Vec::new();
+    for (target, start, end, body) in &answers {
+        let seen = (*start..=*end).any(|k| {
+            let want = expected.entry((*target, k)).or_insert_with(|| {
+                let (xs, ps) = (0..k as usize).map(row).unzip();
+                let ctx = Context::new(ds.schema_arc(), xs, ps);
+                let result = srk.explain_budgeted(&ctx, *target, WorkBudget::unlimited());
+                String::from_utf8(explain_response(*target, alpha, &result).body).unwrap()
+            });
+            want == body
+        });
+        if !seen {
+            mixed.push(format!("target {target}, rows {start}..={end}: {body}"));
+        }
+    }
+    assert!(
+        mixed.is_empty(),
+        "{} of {} explains matched no row state, e.g. {}",
+        mixed.len(),
+        answers.len(),
+        mixed[0]
+    );
+}
+
 // ---------------------------------------------------------------------
 // HTTP-level harness for the chaos test.
 
@@ -236,16 +346,12 @@ fn sharded_app(ds: &Dataset, backend: Arc<ShardedBackend>) -> Arc<App<MemVfs>> {
     let alpha = Alpha::new(ALPHA).unwrap();
     let ctx = Context::from_recorded(ds);
     let monitor = OsrkMonitor::new(ctx.instance(0).clone(), ctx.prediction(0), alpha, 7);
-    // The local engine context is empty — explains go through the
-    // scatter/gather router, exactly as `cce serve --shards` wires it.
-    let empty = Context::new(ds.schema_arc(), Vec::new(), Vec::new());
-    build_app_sharded(
-        empty,
-        alpha,
-        BatcherConfig::default(),
+    // Explains go through the scatter/gather router, exactly as
+    // `cce serve --shards` wires it.
+    build_app(
+        Backend::sharded(backend, ds.schema_arc()),
         AdmissionConfig::default(),
         MonitorBackend::Plain(monitor),
-        backend,
     )
 }
 
