@@ -17,10 +17,10 @@
 //! memo hit rate, and the observability counters the optimizations move
 //! (`cce_explain_violator_scans_total`, `cce_lazy_greedy_skips_total`).
 //!
-//! A separate **large-context** entry exercises the SIMD + striped
-//! kernel path at production scale: one Loan context of 1 000 000 rows
+//! A separate **large-context** entry exercises the dispatched SIMD
+//! kernels at production scale: one Loan context of 1 000 000 rows
 //! (200 000 in `--quick`), explained at ~512 sampled targets through
-//! [`ContextIndex::explain_striped`], reporting index build time and
+//! [`ContextIndex::explain_with`], reporting index build time and
 //! `explains_per_sec` — the number the kernel work moves.
 //!
 //! Flags / environment:
@@ -37,7 +37,6 @@
 
 use std::time::Instant;
 
-use cce_core::kernels::StripeConfig;
 use cce_core::{Alpha, Cce, CceConfig, Context, ContextIndex, ExplainScratch};
 use cce_dataset::{synth, BinSpec};
 
@@ -218,16 +217,15 @@ fn run_config(
 
 /// The 1M-row (200k in quick mode) single-huge-context measurement:
 /// index build time plus sampled-target explain throughput through the
-/// striped kernel path.
+/// dispatched kernels.
 struct LargeResult {
     dataset: &'static str,
     rows: usize,
     targets: usize,
     kernels: &'static str,
-    stripe_threads: usize,
     index_build_ms: f64,
     explains_per_sec: f64,
-    /// Fractional µs: at quick-mode sizes a striped explain is
+    /// Fractional µs: at quick-mode sizes an explain is
     /// sub-microsecond, and integer-µs truncation reported `p50_us: 0`.
     p50_us: f64,
     p99_us: f64,
@@ -238,10 +236,9 @@ fn run_large(rows: usize) -> LargeResult {
     let ds = raw.encode(&BinSpec::uniform(10));
     let ctx = Context::from_recorded(&ds);
     let alpha = Alpha::ONE;
-    let stripes = StripeConfig::default();
 
     let t0 = Instant::now();
-    let idx = ContextIndex::with_stripes(&ctx, &stripes);
+    let idx = ContextIndex::new(&ctx);
     let index_build_ms = t0.elapsed().as_secs_f64() * 1_000.0;
 
     // Explaining every row of a 1M context would take the eager-scale
@@ -253,13 +250,13 @@ fn run_large(rows: usize) -> LargeResult {
     let mut scratch = ExplainScratch::new();
     // Warm-up pass (page in the postings, settle the kernel dispatch).
     for &t in targets.iter().take(32) {
-        let _ = idx.explain_striped(&ctx, t, alpha, &mut scratch, &stripes);
+        let _ = idx.explain_with(&ctx, t, alpha, &mut scratch);
     }
     let mut per_key_ns: Vec<u64> = Vec::with_capacity(targets.len());
     let t1 = Instant::now();
     for &t in &targets {
         let k0 = Instant::now();
-        let _ = idx.explain_striped(&ctx, t, alpha, &mut scratch, &stripes);
+        let _ = idx.explain_with(&ctx, t, alpha, &mut scratch);
         per_key_ns.push(k0.elapsed().as_nanos() as u64);
     }
     let secs = t1.elapsed().as_secs_f64();
@@ -269,7 +266,6 @@ fn run_large(rows: usize) -> LargeResult {
         rows,
         targets: targets.len(),
         kernels: cce_core::kernels::active().name,
-        stripe_threads: stripes.threads,
         index_build_ms,
         explains_per_sec: targets.len() as f64 / secs.max(1e-9),
         p50_us: percentile(&per_key_ns, 0.50) as f64 / 1_000.0,
@@ -280,13 +276,12 @@ fn run_large(rows: usize) -> LargeResult {
 fn large_to_json(l: &LargeResult) -> String {
     format!(
         "  \"large_context\": {{\"dataset\": \"{}\", \"rows\": {}, \"targets\": {}, \
-         \"kernels\": \"{}\", \"stripe_threads\": {}, \"index_build_ms\": {:.1}, \
+         \"kernels\": \"{}\", \"index_build_ms\": {:.1}, \
          \"explains_per_sec\": {:.1}, \"p50_us\": {:.3}, \"p99_us\": {:.3}}},\n",
         l.dataset,
         l.rows,
         l.targets,
         l.kernels,
-        l.stripe_threads,
         l.index_build_ms,
         l.explains_per_sec,
         l.p50_us,
@@ -465,12 +460,11 @@ fn main() {
     }
 
     let large_rows = if quick { 200_000 } else { 1_000_000 };
-    eprintln!("running large-context Loan rows={large_rows} (striped kernels)…");
+    eprintln!("running large-context Loan rows={large_rows}…");
     let large = run_large(large_rows);
     eprintln!(
-        "  kernels={} stripes={} | index build {:.0} ms | {:.1} explains/s (p50 {:.3} µs, p99 {:.3} µs over {} targets)",
+        "  kernels={} | index build {:.0} ms | {:.1} explains/s (p50 {:.3} µs, p99 {:.3} µs over {} targets)",
         large.kernels,
-        large.stripe_threads,
         large.index_build_ms,
         large.explains_per_sec,
         large.p50_us,

@@ -58,7 +58,7 @@ const USAGE: &str = "usage:
                  [--shed-depth N] [--degrade-depth N] [--degrade-budget SCANS]
                  [--checkpoint-dir <dir> [--checkpoint-every N] [--resume]]
                  [--max-conns N] [--keepalive-ms MS]
-                 [--kernels auto|scalar|avx2|neon] [--stripe-threads T] [--stripe-words W]
+                 [--kernels auto|scalar|avx2|neon]
                  [--window ROWS [--window-delta D]]  slide the live ingest context by ΔI=D
                  [--shards N [--shard-deadline-ms MS] [--shard-retries R]
                   [--shard-backoff-ms MS] [--shard-hedge-ms MS] [--chaos]]
@@ -106,8 +106,6 @@ fn allowed_flags(cmd: &str) -> Option<&'static [&'static str]> {
             "max-conns",
             "keepalive-ms",
             "kernels",
-            "stripe-threads",
-            "stripe-words",
             "window",
             "window-delta",
             "store",
@@ -518,7 +516,7 @@ fn shard_worker(args: &Args) -> Result<(), String> {
 const SERVE_MODE_FLAGS: [(&str, &str); 3] = [
     (
         "data",
-        "data linger-ms max-batch threads stripe-threads stripe-words window window-delta",
+        "data linger-ms max-batch threads window window-delta",
     ),
     ("store", "store cache-mb"),
     (
@@ -617,13 +615,6 @@ fn serve(args: &Args) -> Result<(), String> {
             if let Some(v) = args.int("threads")? {
                 batcher_cfg.threads = v.max(1) as usize;
             }
-            let mut engine_cfg = cce_core::engine::EngineConfig::default();
-            if let Some(v) = args.int("stripe-threads")? {
-                engine_cfg.stripes.threads = v.max(1) as usize;
-            }
-            if let Some(v) = args.int("stripe-words")? {
-                engine_cfg.stripes.words_per_stripe = v.max(1) as usize;
-            }
             let window = match (args.int("window")?, args.int("window-delta")?) {
                 (Some(cap), delta) => {
                     let capacity = cap.max(1) as usize;
@@ -638,7 +629,7 @@ fn serve(args: &Args) -> Result<(), String> {
                 (None, Some(_)) => return Err("--window-delta requires --window".into()),
                 (None, None) => None,
             };
-            Backend::engine(ctx, alpha, engine_cfg, batcher_cfg, window)
+            Backend::engine(ctx, alpha, batcher_cfg, window)
         };
         (backend, x, pred)
     };

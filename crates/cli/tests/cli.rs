@@ -346,6 +346,19 @@ fn unknown_flags_fail_with_suggestion() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown flag --target"), "stderr: {stderr}");
     assert!(stderr.contains("flags accepted here"), "stderr: {stderr}");
+
+    // `cce serve` has no stripe knobs: every explain runs the kernels directly.
+    let out = cce()
+        .args(["serve", "--data", path.to_str().unwrap()])
+        .args(["--stripe-threads", "2", "--addr", "127.0.0.1:0"])
+        .output()
+        .expect("run cce serve with a removed flag");
+    assert!(!out.status.success(), "a removed flag must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag --stripe-threads"),
+        "stderr: {stderr}"
+    );
 }
 
 #[test]
@@ -754,7 +767,7 @@ fn out_of_domain_csv_code_is_refused_at_load() {
 }
 
 /// `cce serve` refuses, by name, every flag its mode would ignore: the
-/// engine's batcher, stripe and window flags with `--store` or
+/// engine's batcher and window flags with `--store` or
 /// `--shards`, and the store's and the shards' flags with `--data`.
 #[test]
 fn serve_refuses_flags_its_mode_ignores() {
@@ -768,8 +781,6 @@ fn serve_refuses_flags_its_mode_ignores() {
         (vec!["--max-batch", "4"], "max-batch", "store"),
         (vec!["--linger-ms", "0"], "linger-ms", "store"),
         (vec!["--threads", "2"], "threads", "store"),
-        (vec!["--stripe-threads", "2"], "stripe-threads", "store"),
-        (vec!["--stripe-words", "64"], "stripe-words", "store"),
         (vec!["--data", data], "data", "store"),
     ]
     .into_iter()
@@ -780,7 +791,6 @@ fn serve_refuses_flags_its_mode_ignores() {
             (vec!["--max-batch", "4"], "max-batch"),
             (vec!["--linger-ms", "0"], "linger-ms"),
             (vec!["--threads", "2"], "threads"),
-            (vec!["--stripe-threads", "2"], "stripe-threads"),
             (vec!["--store", "x.pg"], "store"),
             (vec!["--cache-mb", "4"], "cache-mb"),
         ]

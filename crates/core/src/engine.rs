@@ -32,10 +32,7 @@
 //!   overloaded server can trade key completeness for bounded latency
 //!   per target and report the [`ExplainStatus`] honestly.
 //! * **Scoped parallelism** — distinct classes of one batch fan out over
-//!   `threads` scoped workers; results are returned in input order. When
-//!   a batch collapses to a *single* huge explain and the context is
-//!   large enough for [`StripeConfig`] to engage, the engine instead
-//!   stripes that one explain's bitset passes across the cores.
+//!   `threads` scoped workers; results are returned in input order.
 //!
 //! Targets are addressed by **logical index**: position in arrival order
 //! among the live rows (identical to the row index when no eviction has
@@ -56,15 +53,11 @@ use crate::alpha::Alpha;
 use crate::context::Context;
 use crate::error::ExplainError;
 use crate::index::{ContextIndex, ExplainScratch};
-use crate::kernels::StripeConfig;
 use crate::srk::{BudgetedKey, WorkBudget};
 
 /// Tunables for a [`BatchEngine`], beyond the context and α.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// When (and how wide) to stripe a single explain's bitset passes
-    /// across cores; see [`StripeConfig::engages`].
-    pub stripes: StripeConfig,
     /// Tombstone density (`tombstones / slot_rows`) beyond which the
     /// engine compacts the index after an eviction.
     pub max_tombstone_ratio: f64,
@@ -76,7 +69,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
-            stripes: StripeConfig::default(),
             max_tombstone_ratio: 0.5,
             compact_min_slots: 1024,
         }
@@ -89,7 +81,6 @@ impl Default for EngineConfig {
 pub struct BatchEngine {
     schema: Arc<Schema>,
     alpha: Alpha,
-    stripes: StripeConfig,
     max_tombstone_ratio: f64,
     compact_min_slots: usize,
     idx: ContextIndex,
@@ -98,8 +89,10 @@ pub struct BatchEngine {
     rows: Vec<(Instance, Label)>,
     /// Live slots in arrival order — the logical-index → slot map.
     order: VecDeque<u32>,
-    /// `(instance, prediction)` → duplicate-class id. Grows with churn,
-    /// renumbered at compaction.
+    /// `(instance, prediction)` → duplicate-class id. Ids are
+    /// `0..dup_of.len()`: entries are never removed between compactions
+    /// (not even when every row of a class is evicted), so the map's size
+    /// is an id no other row holds. Renumbered at compaction.
     dup_of: HashMap<(Instance, Label), u32>,
     /// Slot → duplicate-class id.
     class_of: Vec<u32>,
@@ -115,7 +108,6 @@ impl Clone for BatchEngine {
         Self {
             schema: Arc::clone(&self.schema),
             alpha: self.alpha,
-            stripes: self.stripes,
             max_tombstone_ratio: self.max_tombstone_ratio,
             compact_min_slots: self.compact_min_slots,
             idx: self.idx.clone(),
@@ -137,12 +129,10 @@ impl BatchEngine {
         Self::with_config(ctx, alpha, EngineConfig::default())
     }
 
-    /// [`BatchEngine::new`] with explicit [`EngineConfig`] — the serve
-    /// daemon's constructor, plumbing `--stripe-*` flags through. The
-    /// index build itself uses the same stripe config to parallelize its
-    /// seed tables on large contexts.
+    /// [`BatchEngine::new`] with explicit [`EngineConfig`] compaction
+    /// thresholds.
     pub fn with_config(ctx: Context, alpha: Alpha, cfg: EngineConfig) -> Self {
-        let idx = ContextIndex::with_stripes(&ctx, &cfg.stripes);
+        let idx = ContextIndex::new(&ctx);
         let schema = ctx.schema_arc();
         let n = ctx.len();
         let mut rows: Vec<(Instance, Label)> = Vec::with_capacity(n);
@@ -150,18 +140,13 @@ impl BatchEngine {
             rows.push((ctx.instance(r).clone(), ctx.prediction(r)));
         }
         let (mut dup_of, mut class_of) = (HashMap::with_capacity(n), Vec::with_capacity(n));
-        let mut next = 0u32;
         for (x, p) in &rows {
-            let id = *dup_of.entry((x.clone(), *p)).or_insert_with(|| {
-                next += 1;
-                next - 1
-            });
-            class_of.push(id);
+            let fresh = dup_of.len() as u32;
+            class_of.push(*dup_of.entry((x.clone(), *p)).or_insert(fresh));
         }
         Self {
             schema,
             alpha,
-            stripes: cfg.stripes,
             max_tombstone_ratio: cfg.max_tombstone_ratio,
             compact_min_slots: cfg.compact_min_slots,
             idx,
@@ -241,10 +226,8 @@ impl BatchEngine {
     pub fn push(&mut self, x: Instance, pred: Label) -> Result<usize, ExplainError> {
         let slot = self.idx.insert_row(&x, pred)?;
         debug_assert_eq!(slot, self.rows.len());
-        let class = *self
-            .dup_of
-            .entry((x.clone(), pred))
-            .or_insert(self.class_of.iter().copied().max().map_or(0, |m| m + 1));
+        let fresh = self.dup_of.len() as u32;
+        let class = *self.dup_of.entry((x.clone(), pred)).or_insert(fresh);
         self.class_of.push(class);
         self.rows.push((x, pred));
         self.order.push_back(slot as u32);
@@ -308,7 +291,6 @@ impl BatchEngine {
             ctx,
             self.alpha,
             EngineConfig {
-                stripes: self.stripes,
                 max_tombstone_ratio: self.max_tombstone_ratio,
                 compact_min_slots: self.compact_min_slots,
             },
@@ -338,7 +320,7 @@ impl BatchEngine {
         if let Some(hit) = self.memo_get(class, budget) {
             return hit;
         }
-        let result = self.explain_slot(slot as usize, budget, &mut ExplainScratch::new(), true);
+        let result = self.explain_slot(slot as usize, budget, &mut ExplainScratch::new());
         self.memo_put(class, budget, &result);
         result
     }
@@ -401,7 +383,6 @@ impl BatchEngine {
             self.alpha,
             WorkBudget::unlimited(),
             &mut ExplainScratch::new(),
-            Some(&self.stripes),
         );
         self.idx.remove_row(slot, x, pred);
         self.reclaim_tail();
@@ -481,13 +462,11 @@ impl BatchEngine {
         threads: usize,
     ) -> Vec<Result<BudgetedKey, ExplainError>> {
         let threads = threads.clamp(1, misses.len().max(1));
-        if threads == 1 || misses.len() <= 1 {
-            // No class-level fan-out: let each explain stripe itself
-            // across cores instead (engages only on large contexts).
+        if threads == 1 {
             let mut scratch = ExplainScratch::new();
             return misses
                 .iter()
-                .map(|&(_, slot)| self.explain_slot(slot as usize, budget, &mut scratch, true))
+                .map(|&(_, slot)| self.explain_slot(slot as usize, budget, &mut scratch))
                 .collect();
         }
         type Slot = Option<Result<BudgetedKey, ExplainError>>;
@@ -506,9 +485,7 @@ impl BatchEngine {
                     let mut scratch = ExplainScratch::new();
                     for (i, out) in stripe {
                         let rep = misses[i].1 as usize;
-                        // Class fan-out already owns the cores; striping
-                        // inside each explain would only oversubscribe.
-                        *out = Some(self.explain_slot(rep, budget, &mut scratch, false));
+                        *out = Some(self.explain_slot(rep, budget, &mut scratch));
                     }
                 });
             }
@@ -520,10 +497,8 @@ impl BatchEngine {
     }
 
     /// One representative explain, always through the index: lazy-greedy
-    /// when unlimited (identical to [`Srk::explain`]; striped across
-    /// cores when `may_stripe` and the context is large enough),
-    /// budget-accounted otherwise (identical to
-    /// [`Srk::explain_budgeted`]).
+    /// when unlimited (identical to [`Srk::explain`]), budget-accounted
+    /// otherwise (identical to [`Srk::explain_budgeted`]).
     ///
     /// [`Srk::explain`]: crate::Srk::explain
     /// [`Srk::explain_budgeted`]: crate::Srk::explain_budgeted
@@ -532,12 +507,9 @@ impl BatchEngine {
         slot: usize,
         budget: WorkBudget,
         scratch: &mut ExplainScratch,
-        may_stripe: bool,
     ) -> Result<BudgetedKey, ExplainError> {
         let (x, p) = &self.rows[slot];
-        let stripes = may_stripe.then_some(&self.stripes);
-        self.idx
-            .explain_value(x, *p, self.alpha, budget, scratch, stripes)
+        self.idx.explain_value(x, *p, self.alpha, budget, scratch)
     }
 }
 
@@ -613,35 +585,6 @@ mod tests {
     }
 
     #[test]
-    fn striped_engine_matches_default() {
-        // Force stripes to engage at toy sizes with an oversubscribed
-        // team; every path (single, batch, budgeted) must agree with the
-        // unstriped engine bit for bit.
-        let ctx = loan_ctx(300);
-        let cfg = EngineConfig {
-            stripes: StripeConfig {
-                words_per_stripe: 2,
-                min_words: 1,
-                threads: 3,
-            },
-            ..EngineConfig::default()
-        };
-        let striped = BatchEngine::with_config(ctx.clone(), Alpha::ONE, cfg);
-        let plain = BatchEngine::new(ctx, Alpha::ONE);
-        let targets: Vec<usize> = (0..striped.len()).step_by(11).collect();
-        for budget in [WorkBudget::unlimited(), WorkBudget::new(75)] {
-            assert_eq!(
-                striped.explain_batch(&targets, budget, 1),
-                plain.explain_batch(&targets, budget, 1),
-            );
-        }
-        assert_eq!(
-            striped.explain_one(0, WorkBudget::unlimited()),
-            plain.explain_one(0, WorkBudget::unlimited()),
-        );
-    }
-
-    #[test]
     fn empty_batch_is_fine() {
         let engine = loan_engine(50, 1.0);
         assert!(engine
@@ -684,7 +627,6 @@ mod tests {
         let cfg = EngineConfig {
             compact_min_slots: 1,
             max_tombstone_ratio: 0.1,
-            ..EngineConfig::default()
         };
         let mut engine = BatchEngine::with_config(loan_ctx(200), Alpha::ONE, cfg);
         let before_all: Vec<_> = engine.explain_batch(
@@ -763,6 +705,32 @@ mod tests {
             engine.explain_one(0, WorkBudget::unlimited()),
             Err(ExplainError::EmptyContext)
         ));
+    }
+
+    /// Draining the context leaves `dup_of` entries behind for rows whose
+    /// slots are gone; a later distinct row must not inherit such an id,
+    /// or the evicted row's return would join the wrong duplicate class.
+    #[test]
+    fn class_ids_stay_distinct_after_full_eviction() {
+        let schema = Arc::new(Schema::new(vec![
+            cce_dataset::FeatureDef::categorical("f0", &["a", "b"]),
+            cce_dataset::FeatureDef::categorical("f1", &["a", "b"]),
+        ]));
+        let row = |v: [u32; 2], p: u32| (Instance::new(v.to_vec()), Label(p));
+        let (a, b) = (row([0, 0], 0), row([1, 1], 1));
+        let ctx = Context::new(Arc::clone(&schema), vec![a.0.clone(), b.0], vec![a.1, b.1]);
+        let mut engine = BatchEngine::new(ctx, Alpha::ONE);
+        assert_eq!(engine.evict_oldest(2), 2);
+        for (x, p) in [row([0, 1], 1), a, row([1, 0], 1)] {
+            engine.push(x, p).unwrap();
+        }
+        let srk = Srk::new(Alpha::ONE);
+        let ctx = engine.materialize();
+        let got = engine.explain_batch(&[0, 1, 2], WorkBudget::unlimited(), 1);
+        for (t, got) in got.iter().enumerate() {
+            assert_eq!(got, &srk.explain_budgeted(&ctx, t, WorkBudget::unlimited()));
+        }
+        assert_eq!(got[1].as_ref().unwrap().key.features(), &[0, 1]);
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! Every execution path answers the same question each round: of the
 //! live violators and supporters, how many agree with `x₀` on feature
-//! `f`? A [`CountSource`] answers it — over in-RAM bitsets (direct or
-//! striped), over paged columns faulted in on demand, or over counts
-//! gathered from shard workers — and [`explain`] runs the loop on top:
-//! target validation, the α tolerance, the unsatisfiability certificate,
-//! budget accounting, the lazy-greedy candidate heap with its tie-break,
-//! the error shapes and the obs series all live here, once.
+//! `f`? A [`CountSource`] answers it — over in-RAM bitsets, over paged
+//! columns faulted in on demand, or over counts gathered from shard
+//! workers — and [`explain`] runs the loop on top: target validation,
+//! the α tolerance, the unsatisfiability certificate, budget accounting,
+//! the lazy-greedy candidate heap with its tie-break, the error shapes
+//! and the obs series all live here, once.
 //!
 //! # Lazy greedy
 //!
@@ -52,7 +52,7 @@ use crate::srk::{BudgetedKey, ExplainStatus, WorkBudget};
 /// The backend a source runs on: the `algo` label of its obs series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algo {
-    /// In-RAM [`ContextIndex`](crate::ContextIndex), direct or striped.
+    /// In-RAM [`ContextIndex`](crate::ContextIndex).
     Indexed,
     /// Out-of-core [`PagedContextIndex`](crate::PagedContextIndex).
     Paged,

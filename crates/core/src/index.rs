@@ -11,9 +11,7 @@
 //!
 //! The word-level inner loops live in [`crate::kernels`]: runtime-
 //! dispatched AVX2/NEON SIMD with the portable scalar path as fallback
-//! and differential-testing oracle, plus an optional stripe team that
-//! shards one huge bitset pass across cores
-//! ([`ContextIndex::explain_striped`]).
+//! and differential-testing oracle.
 //!
 //! [`ContextIndex`] is a [`CountSource`] for the one lazy-greedy loop
 //! in [`crate::greedy`]: a refresh is one `count_and` of the live
@@ -52,7 +50,7 @@ use crate::alpha::Alpha;
 use crate::context::Context;
 use crate::error::ExplainError;
 use crate::greedy::{self, Algo, Candidate, CountSource};
-use crate::kernels::{self, Kernels, StripeConfig, TeamHandle};
+use crate::kernels;
 use crate::key::RelativeKey;
 use crate::srk::{BudgetedKey, WorkBudget};
 
@@ -239,74 +237,6 @@ impl RowSet {
     }
 }
 
-/// Execution environment for one explanation: the dispatched kernel
-/// vtable plus an optional stripe team for huge contexts.
-struct Exec<'t> {
-    k: &'static Kernels,
-    team: Option<&'t TeamHandle<'t>>,
-    words_per_stripe: usize,
-}
-
-impl Exec<'_> {
-    /// Plain single-threaded execution through the active kernels.
-    fn direct() -> Self {
-        Exec {
-            k: kernels::active(),
-            team: None,
-            words_per_stripe: 0,
-        }
-    }
-
-    fn count_and(&self, a: &RowSet, b: &RowSet) -> usize {
-        match self.team {
-            Some(team) => {
-                a.debug_assert_tail_clear();
-                b.debug_assert_tail_clear();
-                kernels::stripes::count_and(self.k, team, self.words_per_stripe, &a.words, &b.words)
-                    as usize
-            }
-            None => a.count_and(b),
-        }
-    }
-
-    fn and_assign_count(&self, dst: &mut RowSet, src: &RowSet) -> usize {
-        match self.team {
-            Some(team) => {
-                dst.debug_assert_tail_clear();
-                src.debug_assert_tail_clear();
-                kernels::stripes::and_assign_count(
-                    self.k,
-                    team,
-                    self.words_per_stripe,
-                    &mut dst.words,
-                    &src.words,
-                ) as usize
-            }
-            None => dst.and_assign_count(src),
-        }
-    }
-
-    fn copy_and_not_count(&self, dst: &mut RowSet, b: &RowSet, a: &RowSet) -> usize {
-        match self.team {
-            Some(team) => {
-                b.debug_assert_tail_clear();
-                a.debug_assert_tail_clear();
-                dst.rows = b.rows;
-                dst.words.resize(b.words.len(), 0);
-                kernels::stripes::and_not_count(
-                    self.k,
-                    team,
-                    self.words_per_stripe,
-                    &mut dst.words,
-                    &b.words,
-                    &a.words,
-                ) as usize
-            }
-            None => dst.copy_and_not_count(b, a),
-        }
-    }
-}
-
 /// Reusable per-worker buffers for [`ContextIndex::explain_with`].
 ///
 /// A single explanation needs two row bitsets (live violators and
@@ -331,23 +261,22 @@ impl ExplainScratch {
 
 /// One explain's view of a [`ContextIndex`]: the counts are bitset
 /// passes over the scratch's live violator and supporter sets.
-struct IndexSource<'a, 't> {
+struct IndexSource<'a> {
     idx: &'a ContextIndex,
     x0: &'a cce_dataset::Instance,
     p0: Label,
     class: Option<&'a ClassIndex>,
     violators: &'a mut RowSet,
     supporters: &'a mut RowSet,
-    exec: &'a Exec<'t>,
 }
 
-impl IndexSource<'_, '_> {
+impl IndexSource<'_> {
     fn posting(&self, f: usize) -> &RowSet {
         &self.idx.by_value[f][self.x0[f] as usize]
     }
 }
 
-impl CountSource for IndexSource<'_, '_> {
+impl CountSource for IndexSource<'_> {
     type Error = Infallible;
     const ALGO: Algo = Algo::Indexed;
 
@@ -380,12 +309,12 @@ impl CountSource for IndexSource<'_, '_> {
     // they cost about 5% of an α = 1 explain (Loan, 2k rows).
     #[inline(always)]
     fn surv(&mut self, feature: usize) -> Result<usize, Infallible> {
-        Ok(self.exec.count_and(self.violators, self.posting(feature)))
+        Ok(self.violators.count_and(self.posting(feature)))
     }
 
     #[inline(always)]
     fn cover(&mut self, feature: usize) -> Result<usize, Infallible> {
-        Ok(self.exec.count_and(self.supporters, self.posting(feature)))
+        Ok(self.supporters.count_and(self.posting(feature)))
     }
 
     fn apply_pick(&mut self, feature: usize, first: bool) -> Result<usize, Infallible> {
@@ -395,10 +324,10 @@ impl CountSource for IndexSource<'_, '_> {
             // intersection: `posting ∩ ¬class` and `posting ∩ class`.
             let class = &self.class.expect("the driver checks the class first").rows;
             self.supporters.copy_and_from(posting, class);
-            Ok(self.exec.copy_and_not_count(self.violators, posting, class))
+            Ok(self.violators.copy_and_not_count(posting, class))
         } else {
             self.supporters.and_assign(posting);
-            Ok(self.exec.and_assign_count(self.violators, posting))
+            Ok(self.violators.and_assign_count(posting))
         }
     }
 
@@ -505,20 +434,8 @@ pub struct ContextIndex {
 }
 
 impl ContextIndex {
-    /// Builds the index in `O(n·|I|)` time and `O(n·Σcard·|I|/64)` space,
-    /// using the default [`StripeConfig`] to parallelize the seed-table
-    /// build on large contexts.
+    /// Builds the index in `O(n·|I|)` time and `O(n·Σcard·|I|/64)` space.
     pub fn new(ctx: &Context) -> Self {
-        Self::with_stripes(ctx, &StripeConfig::default())
-    }
-
-    /// [`ContextIndex::new`] with an explicit stripe configuration: when
-    /// `stripes` engages for this context's bitset width, the seed-table
-    /// build (one fused `count_and2` pass per posting) fans out over
-    /// `stripes.threads` scoped workers with per-posting slots — exact
-    /// integer counts, so the result is byte-identical at every thread
-    /// count.
-    pub fn with_stripes(ctx: &Context, stripes: &StripeConfig) -> Self {
         let rows = ctx.len();
         let n = ctx.schema().n_features();
         let mut by_value: Vec<Vec<RowSet>> = (0..n)
@@ -564,7 +481,7 @@ impl ContextIndex {
                 .map(|postings| vec![(0, 0); postings.len()])
                 .collect();
         }
-        Self::build_seed_tables(&by_value, &mut classes, stripes, rows);
+        Self::build_seed_tables(&by_value, &mut classes);
         // One hash pass tabulates the instance → per-label multiset — the
         // unsatisfiability certificate consulted before any greedy round
         // runs, and the structure insert/remove deltas keep current.
@@ -599,54 +516,24 @@ impl ContextIndex {
     /// initial live sets. Classes are consumed two at a time through the
     /// fused `count_and2` kernel, so a binary-label context pays a
     /// single pass per posting — amortized over every explanation the
-    /// index will serve. On large contexts the postings fan out over
-    /// scoped workers writing disjoint result slots.
-    fn build_seed_tables(
-        by_value: &[Vec<RowSet>],
-        classes: &mut [ClassIndex],
-        stripes: &StripeConfig,
-        rows: usize,
-    ) {
-        let postings: Vec<(usize, usize, &RowSet)> = by_value
-            .iter()
-            .enumerate()
-            .flat_map(|(f, ps)| ps.iter().enumerate().map(move |(v, p)| (f, v, p)))
-            .collect();
-        // slot = (posting total, per-class cover counts).
-        let mut slots: Vec<(usize, Vec<usize>)> = vec![(0, vec![0; classes.len()]); postings.len()];
-        let fill = |posting: &RowSet, slot: &mut (usize, Vec<usize>), classes: &[ClassIndex]| {
-            slot.0 = posting.count();
-            let mut pairs = classes.chunks_exact(2);
-            for (c, pair) in (&mut pairs).enumerate() {
-                let (c0, c1) = posting.count_and2(&pair[0].rows, &pair[1].rows);
-                slot.1[2 * c] = c0;
-                slot.1[2 * c + 1] = c1;
-            }
-            if let [last] = pairs.remainder() {
-                slot.1[classes.len() - 1] = posting.count_and(&last.rows);
-            }
-        };
-        let threads = stripes.threads.clamp(1, postings.len().max(1));
-        if threads > 1 && stripes.engages(rows.div_ceil(64)) {
-            let chunk = postings.len().div_ceil(threads);
-            let classes_ref: &[ClassIndex] = classes;
-            std::thread::scope(|scope| {
-                for (p_chunk, s_chunk) in postings.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                    scope.spawn(move || {
-                        for ((_, _, posting), slot) in p_chunk.iter().zip(s_chunk) {
-                            fill(posting, slot, classes_ref);
-                        }
-                    });
+    /// index will serve.
+    fn build_seed_tables(by_value: &[Vec<RowSet>], classes: &mut [ClassIndex]) {
+        let mut covers = Vec::with_capacity(classes.len());
+        for (f, postings) in by_value.iter().enumerate() {
+            for (v, posting) in postings.iter().enumerate() {
+                covers.clear();
+                let mut pairs = classes.chunks_exact(2);
+                for pair in &mut pairs {
+                    let (c0, c1) = posting.count_and2(&pair[0].rows, &pair[1].rows);
+                    covers.extend([c0, c1]);
                 }
-            });
-        } else {
-            for ((_, _, posting), slot) in postings.iter().zip(&mut slots) {
-                fill(posting, slot, classes);
-            }
-        }
-        for ((f, v, _), (total, covers)) in postings.iter().zip(&slots) {
-            for (class, &cover) in classes.iter_mut().zip(covers) {
-                class.seed[*f][*v] = (total - cover, cover);
+                if let [last] = pairs.remainder() {
+                    covers.push(posting.count_and(&last.rows));
+                }
+                let total = posting.count();
+                for (class, &cover) in classes.iter_mut().zip(&covers) {
+                    class.seed[f][v] = (total - cover, cover);
+                }
             }
         }
     }
@@ -725,41 +612,6 @@ impl ContextIndex {
             .map(|b| b.key)
     }
 
-    /// [`ContextIndex::explain_with`] with the kernel passes of one
-    /// explanation striped across a scoped worker team — the
-    /// single-huge-explain path: a multi-million-row context keeps every
-    /// core busy on *one* target instead of only parallelizing across
-    /// targets.
-    ///
-    /// Falls back to the plain path when `stripes` does not engage for
-    /// this context's bitset width. Output is byte-identical to
-    /// [`ContextIndex::explain_with`] at every thread count (per-stripe
-    /// partial popcounts are exact integers reduced at the join point).
-    ///
-    /// # Errors
-    /// Same failure modes as [`Srk::explain`].
-    ///
-    /// [`Srk::explain`]: crate::Srk::explain
-    pub fn explain_striped(
-        &self,
-        ctx: &Context,
-        target: usize,
-        alpha: Alpha,
-        scratch: &mut ExplainScratch,
-        stripes: &StripeConfig,
-    ) -> Result<RelativeKey, ExplainError> {
-        self.check_frozen(ctx, target)?;
-        self.explain_value(
-            ctx.instance(target),
-            ctx.prediction(target),
-            alpha,
-            WorkBudget::unlimited(),
-            scratch,
-            Some(stripes),
-        )
-        .map(|b| b.key)
-    }
-
     /// Budget-guarded indexed explanation: byte-identical results *and*
     /// degradation behavior to [`Srk::explain_budgeted`], at indexed
     /// speed. The budget is accounted in eager-scan units (see
@@ -786,7 +638,6 @@ impl ContextIndex {
             alpha,
             budget,
             scratch,
-            None,
         )
     }
 
@@ -819,11 +670,9 @@ impl ContextIndex {
 
     /// Value-addressed explain — the churn owners' entry point
     /// ([`crate::BatchEngine`], [`crate::SlidingWindow`]) and the one
-    /// every indexed entry point funnels into. Runs the greedy driver
-    /// striped when unbudgeted and `stripes` engages for this universe
-    /// width, direct otherwise. Everything the driver consults depends
-    /// on the target only through `(x₀, p₀)`, which is also why patched
-    /// and rebuilt indexes agree byte for byte.
+    /// every indexed entry point funnels into. Everything the greedy
+    /// driver consults depends on the target only through `(x₀, p₀)`,
+    /// which is also why patched and rebuilt indexes agree byte for byte.
     ///
     /// `p₀`'s class must be indexed (callers explaining an out-of-context
     /// pair insert it first); an unindexed label reports
@@ -835,36 +684,19 @@ impl ContextIndex {
         alpha: Alpha,
         budget: WorkBudget,
         scratch: &mut ExplainScratch,
-        stripes: Option<&StripeConfig>,
     ) -> Result<BudgetedKey, ExplainError> {
-        let mut run = |exec: &Exec<'_>| {
-            let mut src = IndexSource {
-                idx: self,
-                x0,
-                p0,
-                class: self.classes.iter().find(|c| c.label == p0),
-                violators: &mut scratch.violators,
-                supporters: &mut scratch.supporters,
-                exec,
-            };
-            match greedy::explain_in(&mut src, alpha, budget, &mut scratch.heap) {
-                Ok(answer) => answer,
-                Err(never) => match never {},
-            }
+        let mut src = IndexSource {
+            idx: self,
+            x0,
+            p0,
+            class: self.classes.iter().find(|c| c.label == p0),
+            violators: &mut scratch.violators,
+            supporters: &mut scratch.supporters,
         };
-        if let Some(s) = stripes.filter(|s| s.engages(self.slots.div_ceil(64))) {
-            if budget == WorkBudget::unlimited() {
-                cce_obs::counter!("cce_stripe_explains_total").inc();
-                return kernels::with_team(s.threads, |team| {
-                    run(&Exec {
-                        k: kernels::active(),
-                        team,
-                        words_per_stripe: s.words_per_stripe.max(1),
-                    })
-                });
-            }
+        match greedy::explain_in(&mut src, alpha, budget, &mut scratch.heap) {
+            Ok(answer) => answer,
+            Err(never) => match never {},
         }
-        run(&Exec::direct())
     }
 
     /// The pre-CELF eager scan: every round re-evaluates every unpicked
@@ -1194,33 +1026,6 @@ mod tests {
     }
 
     #[test]
-    fn striped_explain_is_byte_identical() {
-        // Force stripes on at small sizes with an oversubscribed team
-        // (more threads than cores is fine — only slower), so the striped
-        // code path runs even on single-core CI.
-        let stripes = StripeConfig {
-            words_per_stripe: 4,
-            min_words: 1,
-            threads: 3,
-        };
-        for ctx in contexts() {
-            let idx = ContextIndex::with_stripes(&ctx, &stripes);
-            let plain = ContextIndex::new(&ctx);
-            let mut scratch = ExplainScratch::new();
-            for &a in &[1.0, 0.95] {
-                let alpha = Alpha::new(a).unwrap();
-                for t in (0..ctx.len()).step_by(13) {
-                    assert_eq!(
-                        idx.explain_striped(&ctx, t, alpha, &mut scratch, &stripes),
-                        plain.explain(&ctx, t, alpha),
-                        "α={a} target={t}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn rowset_complement_is_exact_at_word_boundaries() {
         for rows in [1usize, 63, 64, 65, 128, 130] {
             let mut s = RowSet::zeros(rows);
@@ -1329,24 +1134,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_seed_build_matches_sequential() {
-        // The scoped-worker seed build must tabulate identical tables.
-        let forced = StripeConfig {
-            words_per_stripe: 8,
-            min_words: 1,
-            threads: 4,
-        };
-        for ctx in contexts() {
-            let par = ContextIndex::with_stripes(&ctx, &forced);
-            let seq = ContextIndex::new(&ctx);
-            for (cp, cs) in par.classes.iter().zip(&seq.classes) {
-                assert_eq!(cp.seed, cs.seed);
-                assert_eq!(cp.size, cs.size);
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "different context")]
     fn index_rejects_mismatched_context() {
         let cs = contexts();
@@ -1383,8 +1170,8 @@ mod tests {
             for (t, (x, p)) in live.iter().enumerate() {
                 for budget in [WorkBudget::unlimited(), WorkBudget::new(40)] {
                     assert_eq!(
-                        idx.explain_value(x, *p, alpha, budget, &mut s1, None),
-                        rebuilt.explain_value(x, *p, alpha, budget, &mut s2, None),
+                        idx.explain_value(x, *p, alpha, budget, &mut s1),
+                        rebuilt.explain_value(x, *p, alpha, budget, &mut s2),
                         "α={a} target={t} live={}",
                         live.len()
                     );
@@ -1452,14 +1239,7 @@ mod tests {
         let p = ctx.prediction(3);
         let mut scratch = ExplainScratch::new();
         let direct = idx
-            .explain_value(
-                &x,
-                p,
-                Alpha::ONE,
-                WorkBudget::unlimited(),
-                &mut scratch,
-                None,
-            )
+            .explain_value(&x, p, Alpha::ONE, WorkBudget::unlimited(), &mut scratch)
             .unwrap();
         for _ in 0..130 {
             let slot = idx.insert_row(&x, p).unwrap();
@@ -1469,14 +1249,7 @@ mod tests {
         assert_eq!(idx.slot_rows(), slots_before);
         assert_eq!(idx.tombstones(), 0);
         let after = idx
-            .explain_value(
-                &x,
-                p,
-                Alpha::ONE,
-                WorkBudget::unlimited(),
-                &mut scratch,
-                None,
-            )
+            .explain_value(&x, p, Alpha::ONE, WorkBudget::unlimited(), &mut scratch)
             .unwrap();
         assert_eq!(direct, after);
     }

@@ -30,13 +30,9 @@
 //! `mode="parallel"`); keep cardinality tiny — labels become one
 //! instrument per combination, forever.
 //!
-//! Families reported by the kernel layer (`cce-core::kernels`):
+//! The kernel layer (`cce-core::kernels`) reports one family:
 //! `cce_kernel_dispatch_total{path="scalar"|"avx2"|"neon"}` records the
-//! once-per-process SIMD dispatch decision;
-//! `cce_stripe_jobs_total` / `cce_stripe_tasks_total` count striped
-//! kernel passes and the per-stripe tasks they fanned into;
-//! `cce_stripe_explains_total` counts explains that engaged the stripe
-//! team at all (large contexts only).
+//! once-per-process SIMD dispatch decision.
 //!
 //! ```
 //! let hits = cce_obs::counter!("doc_hits_total", "kind" => "example");

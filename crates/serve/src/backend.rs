@@ -19,7 +19,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 
-use cce_core::engine::EngineConfig;
 use cce_core::persist::Vfs;
 use cce_core::{Alpha, BatchEngine, Context, PagedContextIndex, WorkBudget};
 use cce_dataset::{Instance, Label, Schema};
@@ -79,11 +78,10 @@ impl<V: Vfs> Backend<V> {
     pub fn engine(
         ctx: Context,
         alpha: Alpha,
-        engine_cfg: EngineConfig,
         batcher_cfg: BatcherConfig,
         window: Option<LiveWindow>,
     ) -> Self {
-        let engine = BatchEngine::with_config(ctx, alpha, engine_cfg);
+        let engine = BatchEngine::new(ctx, alpha);
         let batcher = Arc::new(Batcher::new(Arc::new(RwLock::new(engine)), batcher_cfg));
         let worker = {
             let batcher = Arc::clone(&batcher);

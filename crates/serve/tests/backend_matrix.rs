@@ -8,7 +8,6 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use cce_core::engine::EngineConfig;
 use cce_core::persist::MemVfs;
 use cce_core::{Alpha, Context, OsrkMonitor, PagedContextIndex, Srk, WorkBudget};
 use cce_dataset::{csv, schema_io, synth, BinSpec, Dataset};
@@ -70,13 +69,9 @@ impl Fixture {
     fn app(&self, kind: Kind, admission: AdmissionConfig) -> Arc<App<MemVfs>> {
         let alpha = Self::alpha();
         let backend = match kind {
-            Kind::Engine => Backend::engine(
-                self.ctx.clone(),
-                alpha,
-                EngineConfig::default(),
-                BatcherConfig::default(),
-                None,
-            ),
+            Kind::Engine => {
+                Backend::engine(self.ctx.clone(), alpha, BatcherConfig::default(), None)
+            }
             Kind::Paged => Backend::paged(
                 PagedContextIndex::open(self.vfs.clone(), STORE, 1 << 20).expect("open store"),
                 alpha,

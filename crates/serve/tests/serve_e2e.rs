@@ -17,7 +17,6 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cce_core::engine::EngineConfig;
 use cce_core::persist::{FaultPlan, MemVfs, PersistError, Vfs};
 use cce_core::{Alpha, Context, Durable, OsrkMonitor, Srk, WorkBudget};
 use cce_dataset::{synth, BinSpec};
@@ -49,7 +48,7 @@ fn plain_app(
     let alpha = Alpha::new(ALPHA).expect("valid alpha");
     let backend = MonitorBackend::Plain(monitor_for(&ctx, alpha));
     build_app(
-        Backend::engine(ctx, alpha, EngineConfig::default(), batcher_cfg, None),
+        Backend::engine(ctx, alpha, batcher_cfg, None),
         admission_cfg,
         backend,
     )
@@ -370,7 +369,6 @@ fn ingested_arrivals_are_immediately_explainable() {
         Backend::engine(
             initial,
             alpha,
-            EngineConfig::default(),
             BatcherConfig::default(),
             Some(LiveWindow {
                 capacity: 60,
@@ -451,7 +449,6 @@ fn ingest_rejects_out_of_cardinality_values_without_poisoning_context() {
         Backend::engine(
             initial,
             alpha,
-            EngineConfig::default(),
             BatcherConfig::default(),
             Some(LiveWindow {
                 capacity: 60,
@@ -613,13 +610,7 @@ fn kill_during_ingest_preserves_every_acked_arrival() {
             }
         };
         let app = build_app(
-            Backend::engine(
-                ctx.clone(),
-                alpha,
-                EngineConfig::default(),
-                BatcherConfig::default(),
-                None,
-            ),
+            Backend::engine(ctx.clone(), alpha, BatcherConfig::default(), None),
             AdmissionConfig::default(),
             MonitorBackend::Durable(durable),
         );

@@ -1,9 +1,9 @@
 //! The greedy driver's differential contract, on small random contexts:
-//! every execution path it runs over — the in-RAM index direct and
-//! striped, and the paged store — answers every target exactly as the
-//! reference scans do: `Srk::explain_budgeted` under every budget, and
-//! the literal Alg. 1 (`Srk::explain_naive`) when the budget is
-//! unlimited.
+//! every execution path it runs over — the in-RAM index, the serving
+//! engine after churn, and the paged store — answers every target
+//! exactly as the reference scans do: `Srk::explain_budgeted` under
+//! every budget, and the literal Alg. 1 (`Srk::explain_naive`) when the
+//! budget is unlimited.
 
 use std::sync::Arc;
 
@@ -11,20 +11,13 @@ use proptest::prelude::*;
 use relative_keys::core::pagestore::write_store;
 use relative_keys::core::persist::MemVfs;
 use relative_keys::core::{
-    Alpha, Context, ContextIndex, ExplainScratch, PagedContextIndex, Srk, StripeConfig, WorkBudget,
+    Alpha, BatchEngine, Context, ContextIndex, ExplainScratch, PagedContextIndex, Srk, WorkBudget,
 };
 use relative_keys::dataset::{FeatureDef, Instance, Label, Schema};
 
 /// Row counts: `0` draws a small count, the rest sit on and around the
 /// 64- and 128-row word boundaries.
 const SIZES: [usize; 8] = [0, 63, 64, 65, 127, 128, 129, 200];
-
-/// Stripes forced on at every width, one word per stripe, two workers.
-const STRIPES: StripeConfig = StripeConfig {
-    min_words: 0,
-    words_per_stripe: 1,
-    threads: 2,
-};
 
 /// Budgets in eager-scan units: none left, mid-round-0 cuts, and later.
 const BUDGETS: [u64; 5] = [0, 1, 7, 40, 300];
@@ -85,10 +78,33 @@ fn paged_of(ctx: &Context) -> PagedContextIndex<MemVfs> {
     PagedContextIndex::open(vfs, "ctx.pg", 0).expect("open")
 }
 
+/// Rows `range` of `ctx` as a context of their own.
+fn rows_of(ctx: &Context, range: std::ops::Range<usize>) -> Context {
+    Context::new(
+        ctx.schema_arc(),
+        range.clone().map(|r| ctx.instance(r).clone()).collect(),
+        range.map(|r| ctx.prediction(r)).collect(),
+    )
+}
+
+/// A serving engine that has seen churn: built over the first half of
+/// `ctx`, drained, then fed the second half and the first half again —
+/// so the first half's rows return after their slots were reclaimed.
+fn churned_engine(ctx: &Context, alpha: Alpha) -> BatchEngine {
+    let half = ctx.len() / 2;
+    let mut engine = BatchEngine::new(rows_of(ctx, 0..half), alpha);
+    engine.evict_oldest(engine.len());
+    for r in (half..ctx.len()).chain(0..half) {
+        engine
+            .push(ctx.instance(r).clone(), ctx.prediction(r))
+            .expect("push");
+    }
+    engine
+}
+
 fn check_every_target(ctx: &Context, alpha: Alpha) {
     let srk = Srk::new(alpha);
     let direct = ContextIndex::new(ctx);
-    let striped = ContextIndex::with_stripes(ctx, &STRIPES);
     let mut paged = paged_of(ctx);
     let mut scratch = ExplainScratch::new();
     for t in 0..ctx.len() {
@@ -99,11 +115,6 @@ fn check_every_target(ctx: &Context, alpha: Alpha) {
             direct.explain_with(ctx, t, alpha, &mut scratch),
             want_key,
             "direct, target {t}"
-        );
-        assert_eq!(
-            striped.explain_striped(ctx, t, alpha, &mut scratch, &STRIPES),
-            want_key,
-            "striped, target {t}"
         );
         assert_eq!(
             paged.explain_row_budgeted(t, alpha, WorkBudget::unlimited()),
@@ -122,6 +133,21 @@ fn check_every_target(ctx: &Context, alpha: Alpha) {
                 paged.explain_row_budgeted(t, alpha, budget),
                 want,
                 "paged, target {t}, budget {max_scans}"
+            );
+        }
+    }
+    let engine = churned_engine(ctx, alpha);
+    let live = engine.materialize();
+    let targets: Vec<usize> = (0..live.len()).collect();
+    let budgets = BUDGETS.map(WorkBudget::new);
+    for budget in std::iter::once(WorkBudget::unlimited()).chain(budgets) {
+        let got = engine.explain_batch(&targets, budget, 2);
+        for (t, got) in got.iter().enumerate() {
+            assert_eq!(
+                got,
+                &srk.explain_budgeted(&live, t, budget),
+                "engine, target {t}, budget {}",
+                budget.max_scans
             );
         }
     }
